@@ -1,5 +1,6 @@
-//! Benchmarks the Theorem-2 vector iteration — the Figure-5 kernel
-//! (`α (T/n + (1−1/n) I)^m` over the sparse transient block).
+//! Benchmarks the Theorem-2 evaluation — the Figure-5 kernel
+//! (`α (T/n + (1−1/n) I)^m`, a binomial mixture of pushes through the
+//! sparse transient block).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

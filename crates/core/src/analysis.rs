@@ -1,7 +1,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pollux_linalg::{SolverOptions, DEFAULT_SPARSE_CROSSOVER};
+use pollux_linalg::SolverOptions;
 use pollux_markov::{
     AbsorbingChain, MarkovError, PartitionSolvers, SojournAnalysis, SojournPartition,
 };
@@ -9,21 +9,18 @@ use pollux_obs::Stopwatch;
 
 use crate::{ClusterChain, InitialCondition, ModelParams, StateClass};
 
-/// State-count threshold at which [`ClusterAnalysis`] switches from the
-/// dense pipeline (dense matrices + LU, bit-stable with the historical
-/// results) to the sparse pipeline (CSR blocks + iterative solves in
-/// O(nnz)). Matches the solver crossover so the two layers agree on what
-/// "small" means.
-pub const SPARSE_PIPELINE_THRESHOLD: usize = DEFAULT_SPARSE_CROSSOVER;
-
 /// Which analytical pipeline a [`ClusterAnalysis`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisMode {
-    /// Pick by state count: dense below
-    /// [`SPARSE_PIPELINE_THRESHOLD`], sparse at or above it.
+    /// The default: the factor-once sparse pipeline at every state
+    /// count (its solvers still LU-factor blocks under the solver
+    /// crossover, so small chains get direct solves).
     #[default]
     Auto,
-    /// Force the dense pipeline (O(n²) memory, O(n³) solves).
+    /// Force the dense reference pipeline (O(n²) memory, O(n³) solves):
+    /// dense censored matrices and a full structural classification,
+    /// kept as the independent oracle the sparse pipeline is checked
+    /// against.
     Dense,
     /// Force the sparse pipeline (O(nnz) memory and per-sweep cost).
     Sparse,
@@ -225,8 +222,7 @@ impl SparseAbsorption {
 
 impl ClusterAnalysis {
     /// Builds the chain for `params` and prepares all analyses under
-    /// `initial`, picking the pipeline by state count
-    /// ([`AnalysisMode::Auto`]).
+    /// `initial` on the default pipeline ([`AnalysisMode::Auto`]).
     ///
     /// # Errors
     ///
@@ -274,11 +270,7 @@ impl ClusterAnalysis {
         initial: InitialCondition,
         mode: AnalysisMode,
     ) -> Result<Self, MarkovError> {
-        let sparse = match mode {
-            AnalysisMode::Auto => chain.space().len() >= SPARSE_PIPELINE_THRESHOLD,
-            AnalysisMode::Dense => false,
-            AnalysisMode::Sparse => true,
-        };
+        let sparse = mode != AnalysisMode::Dense;
         let timings = Arc::new(BatteryObs::default());
         let build_watch = Stopwatch::start();
         let alpha = initial.distribution(chain.space())?;
@@ -457,40 +449,47 @@ impl ClusterAnalysis {
     fn pollution_probability_impl(&self) -> Result<f64, MarkovError> {
         let space = self.chain.space();
         if let Some(solvers) = &self.solvers {
-            // Complement on the shared S-block solver: a trajectory never
-            // gets polluted exactly when it wanders inside the safe
-            // transient band S and exits straight into a safe absorbing
-            // class, so with r[i] = P(i → AmS ∪ AℓS in one step),
-            //   P(never polluted | start i ∈ S) = [(I − M_S)⁻¹ r]_i
+            // Hitting mass on the shared S-block solver: a trajectory
+            // started in the safe transient band S gets polluted exactly
+            // when it leaves S into P ∪ AmP ∪ AℓP, so with
+            // r[i] = P(i → P ∪ AmP ∪ AℓP in one step),
+            //   P(ever polluted | start i ∈ S) = [(I − M_S)⁻¹ r]_i
             // — one solve on a factorization the sojourn stage already
-            // set up, instead of a dedicated hitting system.
+            // set up, instead of a dedicated hitting system. Solving for
+            // the hitting mass itself (not 1 − P(never)) keeps full
+            // relative precision for small probabilities.
             let s_idx = solvers.s_indices();
-            let mut is_safe_abs = vec![false; space.len()];
-            for &j in space.safe_merge().iter().chain(space.safe_split()) {
-                is_safe_abs[j] = true;
+            let mut is_polluted = vec![false; space.len()];
+            for &j in space
+                .transient_polluted()
+                .iter()
+                .chain(space.polluted_merge())
+                .chain(space.polluted_split())
+            {
+                is_polluted[j] = true;
             }
             let mut r = vec![0.0; s_idx.len()];
             for (t, &g) in s_idx.iter().enumerate() {
                 for (j, v) in self.chain.sparse_dtmc().successors(g) {
-                    if is_safe_abs[j] {
+                    if is_polluted[j] {
                         r[t] += v;
                     }
                 }
             }
-            let p_never = solvers.solver_s().solve(&r)?;
-            let mut never: f64 = s_idx
+            let p_hit = solvers.solver_s().solve(&r)?;
+            let mut ever: f64 = s_idx
                 .iter()
                 .enumerate()
-                .map(|(t, &g)| self.alpha[g] * p_never[t])
+                .map(|(t, &g)| self.alpha[g] * p_hit[t])
                 .sum();
-            // Initial mass already sitting on a safe absorbing state
-            // stays clean forever.
+            // Initial mass already sitting on a polluted class is
+            // polluted from the start.
             for (j, &a) in self.alpha.iter().enumerate() {
-                if a > 0.0 && is_safe_abs[j] {
-                    never += a;
+                if a > 0.0 && is_polluted[j] {
+                    ever += a;
                 }
             }
-            Ok((1.0 - never).clamp(0.0, 1.0))
+            Ok(ever.clamp(0.0, 1.0))
         } else {
             let mut targets: Vec<usize> = space.transient_polluted().to_vec();
             targets.extend_from_slice(space.polluted_merge());
@@ -821,79 +820,119 @@ mod tests {
         );
     }
 
+    /// Every metric a sweep row reports, in a fixed order.
+    fn sweep_metrics(a: &ClusterAnalysis) -> Vec<f64> {
+        let split = a.absorption_split().unwrap();
+        let (safe, polluted) = a.steady_state_fractions().unwrap();
+        let mut out = vec![
+            a.expected_safe_events().unwrap(),
+            a.expected_polluted_events().unwrap(),
+            a.expected_absorption_events().unwrap(),
+            a.pollution_probability().unwrap(),
+            a.variance_safe_events().unwrap(),
+            a.variance_polluted_events().unwrap(),
+            split.safe_merge,
+            split.safe_split,
+            split.polluted_merge,
+            split.polluted_split,
+            safe,
+            polluted,
+        ];
+        out.extend(a.successive_safe_sojourns(5));
+        out.extend(a.successive_polluted_sojourns(5));
+        out
+    }
+
     #[test]
     fn sparse_pipeline_agrees_with_dense() {
-        // Force both pipelines on the paper-scale chain (auto would pick
-        // dense at 288 states) and compare every sweep-visible metric.
-        let params = ModelParams::paper_defaults()
-            .with_mu(0.25)
-            .with_d(0.9)
-            .with_k(3)
-            .unwrap();
-        let dense =
-            ClusterAnalysis::new_with_mode(&params, InitialCondition::Delta, AnalysisMode::Dense)
-                .unwrap();
-        let sparse =
-            ClusterAnalysis::new_with_mode(&params, InitialCondition::Delta, AnalysisMode::Sparse)
-                .unwrap();
-        assert!(!dense.is_sparse());
-        assert!(sparse.is_sparse());
-        let pairs = [
-            (
-                dense.expected_safe_events().unwrap(),
-                sparse.expected_safe_events().unwrap(),
-            ),
-            (
-                dense.expected_polluted_events().unwrap(),
-                sparse.expected_polluted_events().unwrap(),
-            ),
-            (
-                dense.expected_absorption_events().unwrap(),
-                sparse.expected_absorption_events().unwrap(),
-            ),
-            (
-                dense.pollution_probability().unwrap(),
-                sparse.pollution_probability().unwrap(),
-            ),
-            (
-                dense.variance_safe_events().unwrap(),
-                sparse.variance_safe_events().unwrap(),
-            ),
-        ];
-        for (a, b) in pairs {
-            assert!((a - b).abs() < 1e-9 * a.abs().max(1.0), "{a} vs {b}");
-        }
-        let sd = dense.absorption_split().unwrap();
-        let ss = sparse.absorption_split().unwrap();
-        assert!((sd.safe_merge - ss.safe_merge).abs() < 1e-9);
-        assert!((sd.safe_split - ss.safe_split).abs() < 1e-9);
-        assert!((sd.polluted_merge - ss.polluted_merge).abs() < 1e-9);
-        assert!((sd.polluted_split - ss.polluted_split).abs() < 1e-9);
-        for (a, b) in dense
-            .successive_safe_sojourns(5)
-            .iter()
-            .zip(sparse.successive_safe_sojourns(5).iter())
-        {
-            assert!((a - b).abs() < 1e-9);
+        // Force both pipelines across cluster sizes, both initials and
+        // both protocols, and compare every sweep-visible metric.
+        for (c, delta) in [(4, 4), (7, 7), (10, 10), (7, 14)] {
+            for k in [1, c] {
+                let params = ModelParams::new(c, delta, k)
+                    .unwrap()
+                    .with_mu(0.25)
+                    .with_d(0.9);
+                let chain = ClusterChain::build(&params);
+                for initial in [InitialCondition::Delta, InitialCondition::Beta] {
+                    let label = format!("C={c} Delta={delta} k={k} {}", initial.label());
+                    let dense = ClusterAnalysis::from_chain_with_mode(
+                        chain.clone(),
+                        initial.clone(),
+                        AnalysisMode::Dense,
+                    )
+                    .unwrap();
+                    let sparse = ClusterAnalysis::from_chain_with_mode(
+                        chain.clone(),
+                        initial,
+                        AnalysisMode::Sparse,
+                    )
+                    .unwrap();
+                    assert!(!dense.is_sparse());
+                    assert!(sparse.is_sparse());
+                    for (i, (a, b)) in sweep_metrics(&dense)
+                        .into_iter()
+                        .zip(sweep_metrics(&sparse))
+                        .enumerate()
+                    {
+                        assert!(
+                            (a - b).abs() < 1e-9 * a.abs().max(1.0),
+                            "{label} metric {i}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn auto_mode_goes_sparse_above_the_threshold() {
-        // Δ = 20 at C = 7 gives 8·21·22/2 = 1848 ≥ 1024 states.
-        let params = ModelParams::new(7, 20, 1).unwrap().with_mu(0.2).with_d(0.8);
-        assert!(params.state_count() >= crate::SPARSE_PIPELINE_THRESHOLD);
-        let auto = ClusterAnalysis::new(&params, InitialCondition::Delta).unwrap();
-        assert!(auto.is_sparse());
-        // The sojourn totals stay finite and positive, and absorption
-        // masses form a distribution.
-        let ts = auto.expected_safe_events().unwrap();
-        let tp = auto.expected_polluted_events().unwrap();
-        assert!(ts > 0.0 && tp >= 0.0);
-        let split = auto.absorption_split().unwrap();
-        assert!((split.total() - 1.0).abs() < 1e-8, "{}", split.total());
-        let tot = auto.expected_absorption_events().unwrap();
-        assert!((ts + tp - tot).abs() < 1e-7 * tot, "{ts} + {tp} != {tot}");
+    fn sparse_pollution_probability_keeps_relative_precision() {
+        // 1 − P(never polluted) would round a 1e-17 probability away;
+        // solving for the hitting mass keeps it to the last digits.
+        let params = ModelParams::paper_defaults().with_mu(1e-6).with_d(0.9);
+        for initial in [InitialCondition::Delta, InitialCondition::Beta] {
+            let p = |mode| {
+                ClusterAnalysis::new_with_mode(&params, initial.clone(), mode)
+                    .unwrap()
+                    .pollution_probability()
+                    .unwrap()
+            };
+            let (dense, sparse) = (p(AnalysisMode::Dense), p(AnalysisMode::Sparse));
+            assert!(dense > 0.0, "{}: {dense}", initial.label());
+            assert!(
+                (sparse - dense).abs() <= 1e-12 * dense,
+                "{}: sparse {sparse} vs dense {dense}",
+                initial.label()
+            );
+        }
+        let clean = ModelParams::paper_defaults().with_mu(0.0).with_d(0.9);
+        let sparse =
+            ClusterAnalysis::new_with_mode(&clean, InitialCondition::Delta, AnalysisMode::Sparse)
+                .unwrap();
+        assert_eq!(sparse.pollution_probability().unwrap(), 0.0);
+    }
+
+    #[test]
+    fn auto_mode_goes_sparse_at_every_size() {
+        // Δ = 4, 7 and 20 at C = 7: 120 and 288 states (LU-factored
+        // blocks) and 1848 states (iterative solves).
+        for delta in [4, 7, 20] {
+            let params = ModelParams::new(7, delta, 1)
+                .unwrap()
+                .with_mu(0.2)
+                .with_d(0.8);
+            let auto = ClusterAnalysis::new(&params, InitialCondition::Delta).unwrap();
+            assert!(auto.is_sparse(), "Delta = {delta}");
+            // The sojourn totals stay finite and positive, and absorption
+            // masses form a distribution.
+            let ts = auto.expected_safe_events().unwrap();
+            let tp = auto.expected_polluted_events().unwrap();
+            assert!(ts > 0.0 && tp >= 0.0);
+            let split = auto.absorption_split().unwrap();
+            assert!((split.total() - 1.0).abs() < 1e-8, "{}", split.total());
+            let tot = auto.expected_absorption_events().unwrap();
+            assert!((ts + tp - tot).abs() < 1e-7 * tot, "{ts} + {tp} != {tot}");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ mod space;
 mod state;
 mod transition;
 
-pub use analysis::{AbsorptionSplit, AnalysisMode, ClusterAnalysis, SPARSE_PIPELINE_THRESHOLD};
+pub use analysis::{AbsorptionSplit, AnalysisMode, ClusterAnalysis};
 pub use initial::InitialCondition;
 pub use overlay_analysis::{OverlayModel, ProportionPoint};
 pub use params::{AdversaryToggles, ModelParams, ParamsError};

@@ -15,7 +15,7 @@
 //!   (`Ax = b`, `xA = b`), inverses and determinants.
 //! * [`sparse::CsrMatrix`] — compressed sparse row matrix with fast
 //!   vector–matrix iteration, used for the overlay-level computation
-//!   `α (T/n + (1−1/n) I)^m` over hundreds of thousands of events.
+//!   `α (T/n + (1−1/n) I)^m` (a binomial mixture of pushes through `T`).
 //! * [`solver::TransientSolver`] — the sparse-first solver for
 //!   `(I − Q) x = b` systems: dense LU below a size crossover
 //!   (bit-stable for the paper-scale chains), deterministic SOR sweeps

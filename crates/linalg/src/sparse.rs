@@ -1,9 +1,9 @@
 //! Compressed sparse row (CSR) matrices.
 //!
-//! The DSN'11 overlay-level computation iterates a distribution through the
-//! matrix `T/n + (1 − 1/n) I` for up to 10⁵ steps. The transient block `T`
-//! of the cluster chain is sparse (each state reaches a handful of
-//! successors), so a CSR representation makes the iteration linear in the
+//! The DSN'11 overlay-level computation pushes a distribution through the
+//! transient block `T` of the cluster chain a few hundred times per
+//! Figure-5 series. `T` is sparse (each state reaches a handful of
+//! successors), so a CSR representation makes each push linear in the
 //! number of non-zeros.
 
 use crate::{LinalgError, Matrix};

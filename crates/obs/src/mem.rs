@@ -138,10 +138,13 @@ mod tests {
 
     #[test]
     fn rss_readings_work_on_linux() {
-        // The container runs Linux, so /proc must be readable and peak
-        // must dominate current (both in plausible ranges).
-        let peak = peak_rss_bytes().expect("VmHWM readable");
+        // On Linux /proc must be readable and peak must dominate current
+        // (both in plausible ranges). Current is
+        // read first: VmHWM only grows, so a concurrent test allocating
+        // between the two reads can raise the later peak but never push
+        // the earlier current reading above it.
         let cur = current_rss_bytes().expect("VmRSS readable");
+        let peak = peak_rss_bytes().expect("VmHWM readable");
         assert!(peak >= cur);
         assert!(peak > 100 * 1024, "peak RSS implausibly small: {peak}");
     }

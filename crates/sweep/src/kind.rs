@@ -1166,8 +1166,9 @@ mod tests {
         let cols = OutputKind::StateSpaceScaling.columns();
         let at = |name: &str| cols.iter().position(|c| c == name).unwrap();
         assert_eq!(rows[0][at("n_states")].as_f64(), Some(288.0));
-        // The paper-scale space stays on the dense pipeline under Auto.
-        assert_eq!(rows[0][at("pipeline")], crate::Value::Str("dense".into()));
+        // Auto routes every size, the paper's 288 states included, to the
+        // factor-once sparse pipeline.
+        assert_eq!(rows[0][at("pipeline")], crate::Value::Str("sparse".into()));
         let a = ClusterAnalysis::new(&cell.params, cell.initial.clone()).unwrap();
         assert_eq!(
             rows[0][at("E_T_S")].as_f64().unwrap(),

@@ -271,7 +271,7 @@ pub fn extended() -> Vec<Scenario> {
         Scenario::new(
             "state_space_scaling",
             "Sparse-pipeline scaling: the full analytical battery at Delta up to 100 (10^4-10^5 states, far past the paper's Delta = 7)",
-            // Δ = 20 (1 848 states) crosses into the sparse pipeline;
+            // Δ = 20 (1 848 states) crosses into iterative solves;
             // Δ = 48 ≈ 10⁴ states; Δ = 100 ≈ 4·10⁴ states (the bench
             // suite pushes to Δ = 156 ≈ 10⁵). μ/d sit at the paper's
             // hardest evaluated corner so pollution metrics stay
