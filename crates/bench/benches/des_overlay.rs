@@ -8,39 +8,35 @@
 //! cluster runs to absorption under a non-binding per-cluster budget,
 //! no regeneration) and records events/second:
 //!
-//! * **single shard, per backend** — the raw hot-loop number on both
-//!   future-event-list backends (4-ary heap and calendar queue), with
-//!   the reports asserted byte-identical; the headline compares the
-//!   faster backend against the recorded pre-PR baseline (`BinaryHeap`
+//! * **single shard** — the raw hot-loop number (one worker running
+//!   its four cluster blocks one after another), compared in the
+//!   headline against the recorded pre-PR baseline (`BinaryHeap`
 //!   future-event list, one global RNG, per-event exponential draws);
-//! * **sharded** — one shard per available core with deterministic
-//!   work-stealing on (skew 1), per-shard and aggregate rates, so a
-//!   multi-core run produces the worker-pool scaling number the ROADMAP
-//!   asked for (this container has `available_parallelism` CPUs; the
-//!   JSON records the count).
+//! * **sharded** — one shard per available core, per-shard and
+//!   aggregate rates, so a multi-core run produces the worker-pool
+//!   scaling number the ROADMAP asked for (the JSON records the
+//!   `available_parallelism` count).
 //!
-//! All runs of a rung must produce byte-identical reports (asserted
+//! Both runs of a rung must produce byte-identical reports (asserted
 //! here, on top of the test suite), and every rung's analytic memory
-//! audit must come in under 25.0 bytes per node on both backends
-//! (asserted — the ISSUE's memory ceiling).
+//! audit must come in under 25.0 bytes per node (asserted — the memory
+//! ceiling).
 //!
 //! Each rung also records a `memory` block: the exact analytic byte
 //! audit from `pollux::des_overlay::des_memory_audit` (bitset flags,
 //! SoA hot records, event queue, accumulators → **bytes per node**,
-//! identical across platforms) per backend plus the kernel's `VmHWM`
-//! peak RSS. Peak RSS is monotonic over the process, so it reflects the
-//! largest rung run *so far*; per-rung structure sizes come from the
-//! audit.
+//! identical across platforms) plus the kernel's `VmHWM` peak RSS. Peak
+//! RSS is monotonic over the process, so it reflects the largest rung
+//! run *so far*; per-rung structure sizes come from the audit.
 //!
 //! Environment switches:
 //!
 //! * `POLLUX_BENCH_QUICK=1` — CI smoke: 16k clusters only, two samples
-//!   (still both backends, still every assertion).
+//!   (still every assertion).
 //!
 //! Timings are min-of-N (N = 3): the ladder is deterministic, so the
 //! fastest run is the least-perturbed one.
 
-use pollux::des_overlay::QueueBackend;
 use pollux_adversary::TargetedStrategy;
 use pollux_bench::des_ladder::{
     ladder_config, ladder_params, rung_memory, time_sharded, time_single, LADDER_BITS,
@@ -54,36 +50,19 @@ use pollux_obs::mem::MemoryAudit;
 /// relative to this.
 const PRE_PR_EVENTS_PER_S_16K: f64 = 3.4e6;
 
-/// One backend's single-shard measurement at a rung.
-struct BackendPoint {
-    single_s: f64,
-    single_rate: f64,
-    audit: MemoryAudit,
-}
-
 struct LadderPoint {
     bits: u32,
     clusters: usize,
     nodes: u64,
     events: u64,
-    heap: BackendPoint,
-    calendar: BackendPoint,
+    single_s: f64,
+    single_rate: f64,
     shards: usize,
     sharded_s: f64,
     sharded_rate: f64,
     per_shard_rates: Vec<f64>,
+    audit: MemoryAudit,
     peak_rss_bytes: Option<u64>,
-}
-
-impl LadderPoint {
-    /// The faster single-shard backend at this rung.
-    fn best(&self) -> (&'static str, &BackendPoint) {
-        if self.calendar.single_rate >= self.heap.single_rate {
-            ("calendar", &self.calendar)
-        } else {
-            ("heap", &self.heap)
-        }
-    }
 }
 
 fn json_f64(v: f64) -> String {
@@ -105,57 +84,36 @@ fn main() {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let shards = cpus.max(1);
 
     let params = ladder_params();
     let strategy = TargetedStrategy::new(params.k(), params.nu()).unwrap();
 
     let mut points = Vec::new();
     for &bits in &ladder {
-        let heap_cfg = ladder_config(bits, QueueBackend::Heap);
-        let cal_cfg = ladder_config(bits, QueueBackend::Calendar);
-        let (heap_report, heap_s) = time_single(&params, &strategy, &heap_cfg, samples);
-        let (cal_report, cal_s) = time_single(&params, &strategy, &cal_cfg, samples);
-        assert_eq!(
-            heap_report, cal_report,
-            "queue backends must never change the bytes"
-        );
-        // Sharded with deterministic work-stealing on: same bytes again.
-        let sharded_cfg = cal_cfg.clone().with_shards(shards).with_work_stealing(1);
+        let config = ladder_config(bits);
+        let (report, single_s) = time_single(&params, &strategy, &config, samples);
+        let sharded_cfg = config.clone().with_shards(cpus);
         let (sharded, stats, sharded_s) = time_sharded(&params, &strategy, &sharded_cfg, samples);
-        assert_eq!(
-            heap_report, sharded,
-            "sharding/stealing must never change the bytes"
-        );
+        assert_eq!(report, sharded, "sharding must never change the bytes");
 
-        let (heap_audit, _) = rung_memory(&params, &heap_cfg);
-        let (cal_audit, peak) = rung_memory(&params, &cal_cfg);
-        for (name, audit) in [("heap", &heap_audit), ("calendar", &cal_audit)] {
-            assert!(
-                audit.bytes_per_node() < 25.0,
-                "{name} audit at 2^{bits} is {:.3} B/node — over the 25.0 ceiling",
-                audit.bytes_per_node()
-            );
-        }
+        let (audit, peak) = rung_memory(&params, &config);
+        assert!(
+            audit.bytes_per_node() < 25.0,
+            "audit at 2^{bits} is {:.3} B/node — over the 25.0 ceiling",
+            audit.bytes_per_node()
+        );
         let point = LadderPoint {
             bits,
-            clusters: heap_report.n_clusters,
-            nodes: heap_report.initial_nodes,
-            events: heap_report.events,
-            heap: BackendPoint {
-                single_s: heap_s,
-                single_rate: heap_report.events as f64 / heap_s,
-                audit: heap_audit,
-            },
-            calendar: BackendPoint {
-                single_s: cal_s,
-                single_rate: cal_report.events as f64 / cal_s,
-                audit: cal_audit,
-            },
+            clusters: report.n_clusters,
+            nodes: report.initial_nodes,
+            events: report.events,
+            single_s,
+            single_rate: report.events as f64 / single_s,
             shards: stats.shards(),
             sharded_s,
             sharded_rate: sharded.events as f64 / sharded_s,
             per_shard_rates: stats.shard_events_per_sec(),
+            audit,
             // Read *after* the rung's runs so it covers them; monotonic.
             peak_rss_bytes: peak,
         };
@@ -165,25 +123,21 @@ fn main() {
             .map(|r| format!("{:.2}M", r / 1e6))
             .collect();
         println!(
-            "2^{} = {} clusters ({} nodes): heap {:.1}M events/s ({:.3} s), \
-             calendar {:.1}M events/s ({:.3} s); {} shards (steal) {:.1}M events/s \
-             aggregate ({:.3} s), per shard [{}]",
+            "2^{} = {} clusters ({} nodes): 1 shard {:.1}M events/s ({:.3} s); \
+             {} shards {:.1}M events/s aggregate ({:.3} s), per shard [{}]",
             point.bits,
             point.clusters,
             point.nodes,
-            point.heap.single_rate / 1e6,
-            point.heap.single_s,
-            point.calendar.single_rate / 1e6,
-            point.calendar.single_s,
+            point.single_rate / 1e6,
+            point.single_s,
             point.shards,
             point.sharded_rate / 1e6,
             point.sharded_s,
             per_shard.join(", "),
         );
         println!(
-            "    memory: {:.2} B/node heap, {:.2} B/node calendar (audited), peak RSS {}",
-            point.heap.audit.bytes_per_node(),
-            point.calendar.audit.bytes_per_node(),
+            "    memory: {:.2} B/node (audited), peak RSS {}",
+            point.audit.bytes_per_node(),
             point.peak_rss_bytes.map_or("n/a".to_string(), |b| format!(
                 "{:.1} MiB",
                 b as f64 / (1024.0 * 1024.0)
@@ -196,12 +150,11 @@ fn main() {
         .iter()
         .find(|p| p.bits == 14)
         .expect("16k point is on every ladder");
-    let (best_name, best16) = p16.best();
-    let speedup = best16.single_rate / PRE_PR_EVENTS_PER_S_16K;
+    let speedup = p16.single_rate / PRE_PR_EVENTS_PER_S_16K;
     println!(
-        "\nheadline @ 16k clusters: {:.1}M events/s single shard ({best_name}) — \
+        "\nheadline @ 16k clusters: {:.1}M events/s single shard — \
          {speedup:.2}x the pre-PR hot loop ({:.1}M events/s)",
-        best16.single_rate / 1e6,
+        p16.single_rate / 1e6,
         PRE_PR_EVENTS_PER_S_16K / 1e6,
     );
 
@@ -213,37 +166,25 @@ fn main() {
         let peak = p
             .peak_rss_bytes
             .map_or("null".to_string(), |b| b.to_string());
-        let (best_name, best) = p.best();
         rows.push(format!(
             "    {{\"cluster_bits\": {}, \"clusters\": {}, \"nodes\": {}, \"events\": {}, \
-             \"queues\": {{\
-             \"heap\": {{\"single_shard_s\": {}, \"single_shard_events_per_s\": {}}}, \
-             \"calendar\": {{\"single_shard_s\": {}, \"single_shard_events_per_s\": {}}}}}, \
-             \"best_queue\": \"{}\", \
              \"single_shard_s\": {}, \"single_shard_events_per_s\": {}, \"shards\": {}, \
              \"sharded_s\": {}, \"sharded_events_per_s\": {}, \
              \"per_shard_events_per_s\": [{}], \
-             \"memory\": {{\"bytes_per_node_heap\": {}, \"bytes_per_node_calendar\": {}, \
-             \"peak_rss_bytes\": {}, \"audit\": {}}}}}",
+             \"memory\": {{\"bytes_per_node\": {}, \"peak_rss_bytes\": {}, \"audit\": {}}}}}",
             p.bits,
             p.clusters,
             p.nodes,
             p.events,
-            json_f64(p.heap.single_s),
-            json_f64(p.heap.single_rate),
-            json_f64(p.calendar.single_s),
-            json_f64(p.calendar.single_rate),
-            best_name,
-            json_f64(best.single_s),
-            json_f64(best.single_rate),
+            json_f64(p.single_s),
+            json_f64(p.single_rate),
             p.shards,
             json_f64(p.sharded_s),
             json_f64(p.sharded_rate),
             per_shard.join(", "),
-            json_f64(p.heap.audit.bytes_per_node()),
-            json_f64(p.calendar.audit.bytes_per_node()),
+            json_f64(p.audit.bytes_per_node()),
             peak,
-            p.calendar.audit.to_json(),
+            p.audit.to_json(),
         ));
     }
     let json = format!(
@@ -252,13 +193,12 @@ fn main() {
          run-to-absorption (non-binding 3000-event budgets), no regeneration\",\n  \"cpus\": {},\n  \
          \"baseline_pre_pr\": {{\"events_per_s_16k\": {}, \"engine\": \
          \"BinaryHeap queue, global StdRng, unbatched draws (PR 4 tree, best of 5)\"}},\n  \
-         \"headline\": {{\"single_shard_events_per_s_16k\": {}, \"queue\": \"{}\", \
+         \"headline\": {{\"single_shard_events_per_s_16k\": {}, \
          \"speedup_vs_pre_pr\": {}}},\n  \"ladder\": [\n{}\n  ]\n}}\n",
         if quick { "quick" } else { "default" },
         cpus,
         json_f64(PRE_PR_EVENTS_PER_S_16K),
-        json_f64(best16.single_rate),
-        best_name,
+        json_f64(p16.single_rate),
         json_f64(speedup),
         rows.join(",\n"),
     );

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use pollux::des_overlay::{
     des_memory_audit, run_des_overlay, run_des_overlay_duel_with_stats, DesOverlayConfig,
-    DesOverlayReport, DesShardStats, QueueBackend,
+    DesOverlayReport, DesShardStats,
 };
 use pollux::{InitialCondition, ModelParams};
 use pollux_adversary::Strategy;
@@ -37,10 +37,10 @@ pub fn ladder_params() -> ModelParams {
     ModelParams::paper_defaults().with_mu(0.25).with_d(0.9)
 }
 
-/// The ladder workload at one rung on the given queue backend.
+/// The ladder workload at one rung (one shard; callers add shards).
 #[must_use]
-pub fn ladder_config(bits: u32, queue: QueueBackend) -> DesOverlayConfig {
-    DesOverlayConfig::new(bits, 1.0, 3_000 << bits).with_queue_backend(queue)
+pub fn ladder_config(bits: u32) -> DesOverlayConfig {
+    DesOverlayConfig::new(bits, 1.0, 3_000 << bits)
 }
 
 /// Best-of-`samples` single-shard run. The ladder is deterministic, so
@@ -97,9 +97,9 @@ pub fn time_sharded<S: Strategy + Sync>(
     best.expect("at least one sample")
 }
 
-/// One rung's memory block: the exact analytic audit for this config's
-/// resolved backend plus the kernel's peak RSS (monotonic over the
-/// process, so it reflects the largest rung run so far).
+/// One rung's memory block: the exact analytic audit for this config
+/// plus the kernel's peak RSS (monotonic over the process, so it
+/// reflects the largest rung run so far).
 #[must_use]
 pub fn rung_memory(params: &ModelParams, config: &DesOverlayConfig) -> (MemoryAudit, Option<u64>) {
     (
@@ -128,26 +128,19 @@ mod tests {
     use super::*;
     use pollux_adversary::TargetedStrategy;
 
-    /// The smallest rung reproduces its recorded event count on both
-    /// backends, byte-identically — the trajectory's anchor fact.
+    /// A small rung runs byte-identically on one worker and on two —
+    /// the trajectory's anchor fact.
     #[test]
     fn bits_ten_rung_is_deterministic_across_backends() {
         let params = ladder_params();
         let strategy = TargetedStrategy::new(params.k(), params.nu()).unwrap();
-        let heap = ladder_config(10, QueueBackend::Heap);
-        let cal = ladder_config(10, QueueBackend::Calendar);
-        let (rh, _) = time_single(&params, &strategy, &heap, 1);
-        let (rc, _) = time_single(&params, &strategy, &cal, 1);
-        assert_eq!(rh, rc);
-        let (rs, stats, _) = time_sharded(
-            &params,
-            &strategy,
-            &cal.clone().with_shards(2).with_work_stealing(1),
-            1,
-        );
-        assert_eq!(rh, rs);
+        let config = ladder_config(10);
+        let (single, _) = time_single(&params, &strategy, &config, 1);
+        let (sharded, stats, _) =
+            time_sharded(&params, &strategy, &config.clone().with_shards(2), 1);
+        assert_eq!(single, sharded);
         assert_eq!(stats.shards(), 2);
-        let (audit, _) = rung_memory(&params, &heap);
+        let (audit, _) = rung_memory(&params, &config);
         assert!(audit.bytes_per_node() < 25.0);
         assert!(format_memory_line(&audit, Some(1 << 20)).contains("B/node"));
     }

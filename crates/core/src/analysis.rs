@@ -12,17 +12,15 @@ use crate::{ClusterChain, InitialCondition, ModelParams, StateClass};
 /// Which analytical pipeline a [`ClusterAnalysis`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisMode {
-    /// The default: the factor-once sparse pipeline at every state
-    /// count (its solvers still LU-factor blocks under the solver
-    /// crossover, so small chains get direct solves).
-    #[default]
-    Auto,
-    /// Force the dense reference pipeline (O(n²) memory, O(n³) solves):
-    /// dense censored matrices and a full structural classification,
-    /// kept as the independent oracle the sparse pipeline is checked
-    /// against.
+    /// The dense reference pipeline (O(n²) memory, O(n³) solves): dense
+    /// censored matrices and a full structural classification, kept as
+    /// the independent oracle the sparse pipeline is checked against.
     Dense,
-    /// Force the sparse pipeline (O(nnz) memory and per-sweep cost).
+    /// The default: the factor-once sparse pipeline (O(nnz) memory and
+    /// per-sweep cost) at every state count. Its solvers still LU-factor
+    /// blocks under the solver crossover, so small chains get direct
+    /// solves.
+    #[default]
     Sparse,
 }
 
@@ -222,7 +220,7 @@ impl SparseAbsorption {
 
 impl ClusterAnalysis {
     /// Builds the chain for `params` and prepares all analyses under
-    /// `initial` on the default pipeline ([`AnalysisMode::Auto`]).
+    /// `initial` on the default pipeline ([`AnalysisMode::Sparse`]).
     ///
     /// # Errors
     ///
@@ -256,7 +254,7 @@ impl ClusterAnalysis {
     /// Propagates initial-distribution validation and linear-algebra
     /// failures.
     pub fn from_chain(chain: ClusterChain, initial: InitialCondition) -> Result<Self, MarkovError> {
-        Self::from_chain_with_mode(chain, initial, AnalysisMode::Auto)
+        Self::from_chain_with_mode(chain, initial, AnalysisMode::Sparse)
     }
 
     /// As [`ClusterAnalysis::from_chain`] with an explicit pipeline
@@ -270,7 +268,7 @@ impl ClusterAnalysis {
         initial: InitialCondition,
         mode: AnalysisMode,
     ) -> Result<Self, MarkovError> {
-        let sparse = mode != AnalysisMode::Dense;
+        let sparse = mode == AnalysisMode::Sparse;
         let timings = Arc::new(BatteryObs::default());
         let build_watch = Stopwatch::start();
         let alpha = initial.distribution(chain.space())?;
@@ -913,7 +911,8 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_goes_sparse_at_every_size() {
+    fn default_mode_goes_sparse_at_every_size() {
+        assert_eq!(AnalysisMode::default(), AnalysisMode::Sparse);
         // Δ = 4, 7 and 20 at C = 7: 120 and 288 states (LU-factored
         // blocks) and 1848 states (iterative solves).
         for delta in [4, 7, 20] {
@@ -921,16 +920,16 @@ mod tests {
                 .unwrap()
                 .with_mu(0.2)
                 .with_d(0.8);
-            let auto = ClusterAnalysis::new(&params, InitialCondition::Delta).unwrap();
-            assert!(auto.is_sparse(), "Delta = {delta}");
+            let default = ClusterAnalysis::new(&params, InitialCondition::Delta).unwrap();
+            assert!(default.is_sparse(), "Delta = {delta}");
             // The sojourn totals stay finite and positive, and absorption
             // masses form a distribution.
-            let ts = auto.expected_safe_events().unwrap();
-            let tp = auto.expected_polluted_events().unwrap();
+            let ts = default.expected_safe_events().unwrap();
+            let tp = default.expected_polluted_events().unwrap();
             assert!(ts > 0.0 && tp >= 0.0);
-            let split = auto.absorption_split().unwrap();
+            let split = default.absorption_split().unwrap();
             assert!((split.total() - 1.0).abs() < 1e-8, "{}", split.total());
-            let tot = auto.expected_absorption_events().unwrap();
+            let tot = default.expected_absorption_events().unwrap();
             assert!((ts + tp - tot).abs() < 1e-7 * tot, "{ts} + {tp} != {tot}");
         }
     }

@@ -60,29 +60,31 @@
 //! therefore cannot affect results: a run is *shard-invariant by
 //! construction*, and the engine exploits exactly that.
 //!
-//! # The sharded engine
+//! # The block plan
 //!
-//! [`DesOverlayConfig::shards`] partitions the clusters into contiguous
-//! ranges, one per worker shard (`std::thread::scope`, as in the
-//! `pollux-sweep` pool). Each shard runs its own event loop over its
-//! cluster subset with a **local** future-event list holding one pending
-//! arrival per cluster — either the index-based 4-ary heap
-//! ([`pollux_des::EventQueue`]) or the O(1)-amortized calendar queue
-//! ([`pollux_des::CalendarQueue`]), selected per run by
-//! [`DesOverlayConfig::queue`]; both implement the same strict
-//! `(time, seq)` dispatch contract, so the backends are byte-identical
-//! (test- and CI-enforced). The shard then reports per-cluster
-//! statistics that the caller merges **in cluster order** — integer
-//! tallies by summation, sojourn and lifetime moments by ordered Welford
-//! merges, occupancy-grid counts by summation. Because the merge order
-//! is cluster order regardless of the partition, `shards = 1` and
-//! `shards = 64` produce byte-identical [`DesOverlayReport`]s
-//! (test-enforced, like the sweep pool's thread-count invariance).
-//! [`DesOverlayConfig::with_work_stealing`] swaps the static one-range-
-//! per-worker plan for a finer blocked partition that workers claim off
-//! a shared cursor in a seed-derived order — rebalancing wall-clock
-//! without touching report bytes, since block outcomes still merge in
-//! cluster order.
+//! Every run, at every [`DesOverlayConfig::shards`] value, executes one
+//! deterministic partition. The `n` clusters are cut into
+//! `nblocks = min(4·shards, n)` even contiguous **blocks** (block `b`
+//! covers `[b·n/nblocks, (b+1)·n/nblocks)`), and worker `w` of the
+//! `shards` workers (`std::thread::scope`, as in the `pollux-sweep` pool)
+//! runs blocks `w·nblocks/shards` up to `(w+1)·nblocks/shards` one after
+//! another, each on its own future-event list
+//! ([`pollux_des::EventQueue`], the index-based 4-ary heap) holding one
+//! pending arrival per cluster of the block. Each block reports
+//! per-cluster statistics that the caller merges **in cluster order** —
+//! integer tallies by summation, sojourn and lifetime moments by ordered
+//! Welford merges, occupancy-grid counts by summation. Worker `w`'s
+//! blocks precede worker `w + 1`'s, so joining the worker outputs in
+//! worker order *is* cluster order, and `shards = 1` and `shards = 64`
+//! produce byte-identical [`DesOverlayReport`]s (test-enforced, like the
+//! sweep pool's thread-count invariance).
+//!
+//! Blocks are assigned statically rather than claimed off a shared
+//! cursor: a cursor measured no faster, and it made the per-worker
+//! [`DesShardStats`] depend on thread timing. Four blocks per worker keep
+//! each block's queue and hot columns a quarter of the worker's share,
+//! and a worker drops one block's flags, hot columns and queue before it
+//! builds the next.
 //!
 //! The event budget is likewise defined shard-invariantly:
 //! [`DesOverlayConfig::max_events`] is distributed over the clusters as
@@ -95,11 +97,11 @@
 //! its budget runs out is censored with its partial counts, as in
 //! [`crate::simulation::estimate`].
 //!
-//! The hot event loop is allocation-free: each shard's future-event list
+//! The hot event loop is allocation-free: each block's future-event list
 //! is pre-sized to one pending arrival per cluster and popped/refilled
-//! with the fused `replace_earliest` (one queue operation per event on
-//! either backend), the event payload is a bare `u32` cluster index (no
-//! boxing), per-cluster hot state lives in structure-of-arrays columns
+//! with the fused `replace_earliest` (one queue operation per event),
+//! the event payload is a bare `u32` cluster index (no boxing),
+//! per-cluster hot state lives in structure-of-arrays columns
 //! grouped by access phase — one 64-byte *draw line* per cluster (the
 //! RNG state plus the batch of exponential gaps drawn through
 //! [`pollux_prob::exponential::fill`]) and one 64-byte *bookkeeping
@@ -107,7 +109,7 @@
 //! cursor), so an event's whole footprint is a handful of prefetchable
 //! lines — membership flags are packed bitsets, and the maintenance
 //! draw uses two reusable scratch buffers. A 10⁶-node overlay processes 10⁶ events in well
-//! under a second per shard.
+//! under a second per worker.
 //!
 //! Per-cluster sojourn counts (`T_S`, `T_P` in events) and the absorption
 //! split are accumulated with Welford statistics, so one run yields `n`
@@ -151,7 +153,7 @@ use pollux_defense::{effective_join_admission, effective_survival, Defense, Null
 use pollux_des::churn::{ChurnKind, EventMix};
 use pollux_des::replication::replication_seed;
 use pollux_des::stats::{Summary, Welford};
-use pollux_des::{CalendarQueue, EventQueue, FutureEventList, SimTime};
+use pollux_des::{EventQueue, SimTime};
 use pollux_obs::mem::MemoryAudit;
 use pollux_obs::{
     DesEventKind, MetricsRecorder, NullRecorder, Recorder, Registry, TraceRecord, TraceRing,
@@ -166,6 +168,7 @@ use crate::{
     AdversaryToggles, ClusterState, InitialCondition, ModelParams, ModelSpace, StateClass,
 };
 
+/// Provenance only: every run resolves to the heap.
 pub use pollux_des::QueueBackend;
 
 /// Configuration of a whole-overlay discrete-event run.
@@ -203,31 +206,10 @@ pub struct DesOverlayConfig {
     /// fresh-start initial condition cannot bias the long-run fractions.
     /// Steady-state scenarios typically spend half the budget here.
     pub warmup_events: u64,
-    /// Worker shards the clusters are partitioned across (contiguous
-    /// ranges, one OS thread each when > 1). Affects wall-clock time
-    /// only, never output bytes; clamped to the cluster count.
+    /// Worker threads the cluster blocks are assigned to (see the module
+    /// docs' block plan). Affects wall-clock time only, never output
+    /// bytes; clamped to the cluster count.
     pub shards: usize,
-    /// Which future-event list the shards run on. Both backends obey the
-    /// same dispatch contract, so this choice — like the shard count —
-    /// affects wall-clock time only, never output bytes (test-enforced).
-    /// [`QueueBackend::Auto`] resolves via the `POLLUX_DES_QUEUE`
-    /// environment variable (CI's zero-plumbing diff lever), defaulting
-    /// to the heap.
-    pub queue: QueueBackend,
-    /// When `true` (and `shards > 1`), workers claim whole contiguous
-    /// *cluster blocks* from a shared queue instead of owning one fixed
-    /// range each, so a worker whose clusters absorb early steals the
-    /// remaining blocks of a slow one. Clusters never migrate mid-block:
-    /// stealing moves work only at block (epoch) boundaries, the claim
-    /// schedule is seed-derived, and outcomes are merged in block =
-    /// cluster order — byte identity at any shard count is preserved by
-    /// construction.
-    pub steal: bool,
-    /// Deterministic skew of the stolen block sizes (0 = even blocks).
-    /// Larger values make the block lengths progressively uneven, which
-    /// stresses the stealing scheduler (and the fuzz oracle's shard-
-    /// identity pair) without affecting output bytes.
-    pub steal_skew: u32,
 }
 
 impl DesOverlayConfig {
@@ -242,9 +224,6 @@ impl DesOverlayConfig {
             sample_times: Vec::new(),
             warmup_events: 0,
             shards: 1,
-            queue: QueueBackend::Auto,
-            steal: false,
-            steal_skew: 0,
         }
     }
 
@@ -276,24 +255,9 @@ impl DesOverlayConfig {
     }
 
     /// Sets the worker-shard count (min 1). Thread parallelism over
-    /// contiguous cluster ranges; byte-identical output at any value.
+    /// contiguous cluster blocks; byte-identical output at any value.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Selects the future-event-list backend (byte-identical output
-    /// either way; see [`DesOverlayConfig::queue`]).
-    pub fn with_queue_backend(mut self, queue: QueueBackend) -> Self {
-        self.queue = queue;
-        self
-    }
-
-    /// Switches deterministic work-stealing on with the given block-size
-    /// skew (0 = even blocks; see [`DesOverlayConfig::steal`]).
-    pub fn with_work_stealing(mut self, steal_skew: u32) -> Self {
-        self.steal = true;
-        self.steal_skew = steal_skew;
         self
     }
 }
@@ -385,14 +349,17 @@ impl DesOverlayReport {
     }
 }
 
-/// Per-shard execution statistics of a sharded run (wall-clock only —
-/// deliberately **not** part of [`DesOverlayReport`], whose bytes must be
-/// identical across shard counts).
+/// Per-worker execution statistics of a run, one entry per shard summed
+/// over its blocks. Events are a deterministic function of the inputs
+/// (blocks are assigned statically); seconds are wall-clock only, which
+/// is why the stats are deliberately **not** part of
+/// [`DesOverlayReport`], whose bytes must be identical across shard
+/// counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesShardStats {
     /// Events processed by each shard, in shard order.
     pub shard_events: Vec<u64>,
-    /// Wall-clock seconds each shard's event loop ran.
+    /// Wall-clock seconds each shard's event loops ran.
     pub shard_seconds: Vec<f64>,
 }
 
@@ -537,10 +504,10 @@ fn bitset_words(bits: usize) -> usize {
     bits.div_ceil(64)
 }
 
-/// What one shard hands back for merging: integer tallies plus
+/// What one block hands back for merging: integer tallies plus
 /// per-cluster moment accumulators in cluster order (so the caller's
 /// ordered merge is identical for every partition of the same overlay).
-struct ShardOutcome {
+struct BlockOutcome {
     events: u64,
     safe_event_total: u64,
     poll_event_total: u64,
@@ -553,7 +520,7 @@ struct ShardOutcome {
     peak_nodes: u64,
     end_time: f64,
     /// Per-cluster accumulators, local cluster order (= global order for
-    /// contiguous shards).
+    /// contiguous blocks).
     safe_w: Vec<Welford>,
     poll_w: Vec<Welford>,
     life_w: Vec<Welford>,
@@ -561,23 +528,21 @@ struct ShardOutcome {
     /// transient-polluted (exact integers: summable in any order).
     occ_safe: Vec<u64>,
     occ_poll: Vec<u64>,
-    /// Wall-clock seconds of the shard's event loop.
+    /// Wall-clock seconds of the block's event loop.
     seconds: f64,
 }
 
-/// One worker shard: clusters `[lo, lo + count)` of the overlay,
+/// One cluster block: clusters `[lo, lo + count)` of the overlay,
 /// structure-of-arrays, with a local future-event list. Generic over a
 /// [`Recorder`] so the observed and unobserved hot loops are separate
 /// monomorphizations: with [`NullRecorder`] every recording call inlines
-/// to nothing and the loop is the uninstrumented machine code — and over
-/// a [`FutureEventList`] so each queue backend gets its own fully inlined
-/// hot loop.
+/// to nothing and the loop is the uninstrumented machine code.
 ///
 /// Per-cluster state is split into SoA columns by access pattern (see
 /// [`HotCounters`]), and node state is two packed-u64 **malicious-flag
 /// bitsets**: a node's only attribute the dynamics ever read is its
 /// flag (identifiers are drawn, prefix-checked and discarded — see
-/// [`ShardSim::draw_id`]), so the old handle arena + membership tables
+/// [`BlockSim::draw_id`]), so the old handle arena + membership tables
 /// (9 bytes/node) collapse into one bit per core/spare *slot*
 /// (~0.125 bytes/node). Set membership is positional: core slot `r` of
 /// local cluster `l` is bit `l·C + r` of `core_mal`, spare slot `j` is
@@ -585,13 +550,13 @@ struct ShardOutcome {
 /// are alive. Every uniform draw over members/slots is unchanged, so
 /// per-cluster RNG streams — and therefore all reports — are
 /// bit-identical to the arena engine's.
-struct ShardSim<'a, S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u32>> {
+struct BlockSim<'a, S: Strategy, D: Defense + ?Sized, R: Recorder> {
     params: &'a ModelParams,
     strategy: &'a S,
     defense: &'a D,
     mix: EventMix,
     lambda: f64,
-    /// First global cluster index of the shard.
+    /// First global cluster index of the block.
     lo: usize,
     cluster_bits: u32,
     regenerate: bool,
@@ -616,7 +581,7 @@ struct ShardSim<'a, S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEven
     /// per-cluster allocations entirely.
     #[cfg(debug_assertions)]
     labels: Vec<Label>,
-    queue: Q,
+    queue: EventQueue<u32>,
     /// Reusable maintenance scratch: demotion slot indices, then the
     /// candidate pool as 0/1 malicious flags (pool members carry no
     /// other identity).
@@ -637,15 +602,13 @@ struct ShardSim<'a, S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEven
     life_w: Vec<Welford>,
     occ_safe: Vec<u64>,
     occ_poll: Vec<u64>,
-    /// The shard's private recorder — consulted only *after* an event's
-    /// effects are committed, never drawing randomness (the inertness
-    /// contract of `pollux-obs`).
+    /// The worker's recorder, lent to this block — consulted only
+    /// *after* an event's effects are committed, never drawing
+    /// randomness (the inertness contract of `pollux-obs`).
     rec: R,
 }
 
-impl<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u32>>
-    ShardSim<'_, S, D, R, Q>
-{
+impl<S: Strategy, D: Defense + ?Sized, R: Recorder> BlockSim<'_, S, D, R> {
     fn c_size(&self) -> usize {
         self.params.core_size()
     }
@@ -1192,10 +1155,9 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u32>>
         let _ = l;
     }
 
-    /// The shard's event loop: pops the earliest local arrival, plays it
+    /// The block's event loop: pops the earliest local arrival, plays it
     /// on its cluster, and reschedules the cluster's next arrival through
-    /// the fused earliest-replacement — one queue operation per event on
-    /// either backend.
+    /// the fused earliest-replacement — one queue operation per event.
     fn run(&mut self) {
         let delta = self.delta();
         let quorum = self.params.quorum();
@@ -1203,9 +1165,7 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u32>>
         while let Some((t, l)) = self.queue.peek().map(|(t, &l)| (t, l)) {
             // Hint the clusters that could fire next while this event is
             // being processed.
-            let mut runners = [0u32; 4];
-            let n_runners = self.queue.prefetch_hints(&mut runners);
-            for &r in &runners[..n_runners] {
+            for &r in self.queue.runners_up() {
                 self.prefetch_cluster(r as usize);
             }
             let li = l as usize;
@@ -1298,12 +1258,12 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u32>>
         }
     }
 
-    /// Finishes the shard: censors still-transient clusters, freezes the
+    /// Finishes the block: censors still-transient clusters, freezes the
     /// occupancy contribution of clusters whose stream ended before the
-    /// grid did, and packages the outcome together with the shard's
-    /// recorder (returned separately — observation data never enters the
+    /// grid did, and packages the outcome together with the recorder
+    /// (returned separately — observation data never enters the
     /// byte-stable outcome).
-    fn into_outcome(mut self, seconds: f64) -> (ShardOutcome, R) {
+    fn into_outcome(mut self, seconds: f64) -> (BlockOutcome, R) {
         let grid_len = self.sample_times.len();
         let quorum = self.params.quorum();
         let mut censored = 0u64;
@@ -1340,12 +1300,12 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u32>>
                 self.acct[l].next_sample = grid_len as u32;
             }
         }
-        // Per-shard utilization: busy seconds and the shard's share of
-        // the event total — the data the ROADMAP's work-stealing item
-        // needs to decide whether shard imbalance is worth stealing.
+        // Per-block utilization: busy seconds and the block's share of
+        // the event total, the spread that shows whether the even blocks
+        // carry even work.
         self.rec.span("des.shard.busy_s", seconds);
         self.rec.observe("des.shard.events", self.events);
-        let outcome = ShardOutcome {
+        let outcome = BlockOutcome {
             events: self.events,
             safe_event_total: self.safe_event_total,
             poll_event_total: self.poll_event_total,
@@ -1368,12 +1328,10 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u32>>
     }
 }
 
-/// Builds, runs and packages one shard covering global clusters
-/// `[lo, lo + count)`, observing through `rec`. Generic over the
-/// future-event list so both backends compile to monomorphic hot loops
-/// with no per-event dispatch.
+/// Builds, runs and packages one block covering global clusters
+/// `[lo, lo + count)`, observing through `rec`.
 #[allow(clippy::too_many_arguments)]
-fn run_shard<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u32>>(
+fn run_block<S: Strategy, D: Defense + ?Sized, R: Recorder>(
     params: &ModelParams,
     strategy: &S,
     defense: &D,
@@ -1385,13 +1343,13 @@ fn run_shard<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u
     count: usize,
     n_total: usize,
     rec: R,
-) -> (ShardOutcome, R) {
+) -> (BlockOutcome, R) {
     let c_size = params.core_size();
     let delta = params.max_spare();
     let base_budget = config.max_events / n_total as u64;
     let budget_rem = (config.max_events % n_total as u64) as usize;
 
-    let mut shard: ShardSim<'_, S, D, R, Q> = ShardSim {
+    let mut block = BlockSim {
         params,
         strategy,
         defense,
@@ -1409,7 +1367,7 @@ fn run_shard<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u
         spare_mal: vec![0; bitset_words(count * delta)],
         #[cfg(debug_assertions)]
         labels: Vec::with_capacity(count),
-        queue: Q::with_profile(count, config.lambda),
+        queue: EventQueue::with_capacity(count),
         pool: Vec::with_capacity(c_size + delta),
         empty_slots: Vec::with_capacity(c_size),
         events: 0,
@@ -1434,30 +1392,30 @@ fn run_shard<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u
             let bits: Vec<bool> = (0..config.cluster_bits)
                 .map(|bit| (c >> (config.cluster_bits - 1 - bit)) & 1 == 1)
                 .collect();
-            shard.labels.push(Label::from_bits(bits));
+            block.labels.push(Label::from_bits(bits));
         }
-        shard.draw.push(DrawState {
+        block.draw.push(DrawState {
             rng: StdRng::seed_from_u64(replication_seed(seed, c as u64)),
             gaps: [0.0; GAP_BATCH],
         });
-        shard.acct.push(ClusterAcct {
+        block.acct.push(ClusterAcct {
             budget: base_budget + u64::from(c < budget_rem),
             warmup: config.warmup_events,
             ..ClusterAcct::default()
         });
     }
 
-    // Populate the shard's clusters: each draws its start state from the
+    // Populate the block's clusters: each draws its start state from the
     // initial distribution (first draw of its stream) and materializes
     // concrete members for it.
     for l in 0..count {
-        shard.seed_cluster(l, SimTime::ZERO);
+        block.seed_cluster(l, SimTime::ZERO);
     }
     // The overlay's population at t = 0: every cluster still open after
     // seeding holds C core members plus its spares (a cluster born
     // absorbed retired its memberships on the spot, exactly as the old
     // arena accounting had it).
-    let initial_nodes: u64 = shard
+    let initial_nodes: u64 = block
         .acct
         .iter()
         .filter(|a| a.ctr.status == ClusterStatus::Transient)
@@ -1472,27 +1430,26 @@ fn run_shard<S: Strategy, D: Defense + ?Sized, R: Recorder, Q: FutureEventList<u
     // arrival per scheduled cluster is the queue's invariant, so `count`
     // capacity keeps the hot loop reallocation-free.
     for l in 0..count {
-        if shard.acct[l].budget > 0
-            && (config.regenerate || shard.acct[l].ctr.status == ClusterStatus::Transient)
+        if block.acct[l].budget > 0
+            && (config.regenerate || block.acct[l].ctr.status == ClusterStatus::Transient)
         {
-            let gap = shard.next_gap(l);
-            shard.queue.push(SimTime::ZERO + gap, l as u32);
+            let gap = block.next_gap(l);
+            block.queue.push(SimTime::ZERO + gap, l as u32);
         }
     }
     // The future-event list holds one pending arrival per scheduled
     // cluster and only ever shrinks, so its post-init length *is* the
-    // depth high-water mark of the whole run. The bytes key keeps its
-    // historical name on both backends so dashboards line up.
-    let depth = shard.queue.len() as u64;
-    shard.rec.high_water("des.queue.depth_high_water", depth);
-    shard
+    // depth high-water mark of the whole run.
+    let depth = block.queue.len() as u64;
+    block.rec.high_water("des.queue.depth_high_water", depth);
+    block
         .rec
-        .high_water("des.queue.heap_bytes", shard.queue.queue_bytes() as u64);
+        .high_water("des.queue.heap_bytes", block.queue.heap_bytes() as u64);
 
     let start = std::time::Instant::now();
-    shard.run();
+    block.run();
     let seconds = start.elapsed().as_secs_f64();
-    let (mut outcome, rec) = shard.into_outcome(seconds);
+    let (mut outcome, rec) = block.into_outcome(seconds);
     outcome.initial_nodes = initial_nodes;
     (outcome, rec)
 }
@@ -1548,10 +1505,10 @@ pub fn run_des_overlay_duel<S: Strategy + Sync, D: Defense + Sync + ?Sized>(
 }
 
 /// As [`run_des_overlay_duel`], additionally reporting per-shard
-/// wall-clock statistics (events and seconds per shard) — the
+/// statistics (events and wall-clock seconds per worker) — the
 /// measurement hook behind `examples/des_at_scale` and the
-/// `des_overlay` bench. The stats are timing-dependent and deliberately
-/// kept out of the byte-stable [`DesOverlayReport`].
+/// `des_overlay` bench. The seconds are timing-dependent, so the stats
+/// are deliberately kept out of the byte-stable [`DesOverlayReport`].
 ///
 /// # Panics
 ///
@@ -1565,7 +1522,7 @@ pub fn run_des_overlay_duel_with_stats<S: Strategy + Sync, D: Defense + Sync + ?
     seed: u64,
 ) -> (DesOverlayReport, DesShardStats) {
     let (report, stats, _) =
-        run_duel_core(params, initial, strategy, defense, config, seed, |_| {
+        run_duel_core(params, initial, strategy, defense, config, seed, || {
             NullRecorder
         });
     (report, stats)
@@ -1577,13 +1534,13 @@ pub fn run_des_overlay_duel_with_stats<S: Strategy + Sync, D: Defense + Sync + ?
 #[derive(Debug, Clone, Default)]
 pub struct DesObs {
     /// Per-shard registries merged in shard order (= cluster order):
-    /// event-kind counters, queue depth/bytes high-water marks, per-shard
+    /// event-kind counters, queue depth/bytes high-water marks, per-block
     /// busy-time spans and event-share histogram.
     pub registry: Registry,
     /// The ring-buffer traces of all shards merged chronologically (ties
     /// broken by shard order). Each shard keeps its *own* last
     /// `trace_capacity` events, so the merged view is the tail of every
-    /// shard's stream, not of the global stream.
+    /// shard's stream (its blocks in turn), not of the global stream.
     pub trace: Vec<TraceRecord>,
 }
 
@@ -1624,7 +1581,7 @@ pub fn run_des_overlay_duel_observed<S: Strategy + Sync, D: Defense + Sync + ?Si
     trace_capacity: usize,
 ) -> (DesOverlayReport, DesShardStats, DesObs) {
     let (report, stats, recorders) =
-        run_duel_core(params, initial, strategy, defense, config, seed, |_| {
+        run_duel_core(params, initial, strategy, defense, config, seed, || {
             MetricsRecorder::with_trace(trace_capacity)
         });
     let mut registry = Registry::new();
@@ -1643,19 +1600,23 @@ pub fn run_des_overlay_duel_observed<S: Strategy + Sync, D: Defense + Sync + ?Si
 
 /// The exact byte audit of a [`run_des_overlay_duel`] run's simulation
 /// state, computed from the allocation formulas (never sampled), plus
-/// the slot-capacity node count it normalizes by. Computed for the
-/// single-shard layout; sharding adds at most one 8-byte rounding word
-/// per bitset per extra shard and is otherwise a pure partition of the
-/// same columns.
+/// the slot-capacity node count it normalizes by.
+///
+/// The figures are totals over all blocks of the block plan (see the
+/// module docs), up to one 8-byte rounding word per bitset per block.
+/// They bound the live set from above: accumulators stay alive until the
+/// merge, but each worker drops a block's flags, hot columns and queue
+/// before starting its next block, so only `shards` blocks of those are
+/// alive at once.
 ///
 /// Structure keys: `des.flags` (the packed core/spare malicious
 /// bitsets — one *bit* per membership slot, all a node's identity the
 /// simulation ever reads back), `des.cluster_hot` (the SoA per-cluster
 /// columns, two 64-byte lines per cluster: the draw line — RNG state +
 /// gap batch — and the bookkeeping line — counter pack, cycle tallies,
-/// budget, warm-up, sample cursor), `des.event_queue` (the future-event
-/// list of the configured backend, resolved as the run would resolve
-/// it) and `des.accumulators` (per-cluster Welford triples).
+/// budget, warm-up, sample cursor), `des.event_queue` (the 4-ary heap
+/// future-event lists, one entry per cluster) and `des.accumulators`
+/// (per-cluster Welford triples).
 pub fn des_memory_audit(params: &ModelParams, config: &DesOverlayConfig) -> MemoryAudit {
     let n = 1u64 << config.cluster_bits;
     let c_size = params.core_size() as u64;
@@ -1669,18 +1630,11 @@ pub fn des_memory_audit(params: &ModelParams, config: &DesOverlayConfig) -> Memo
     // cluster (both 64-aligned; the padding is the audit's to count).
     let hot_stride = (std::mem::size_of::<DrawState>() + std::mem::size_of::<ClusterAcct>()) as u64;
     audit.record("des.cluster_hot", n * hot_stride);
-    // One pending arrival per cluster on either backend; the calendar
-    // additionally carries its bucket-head table (a power of two, at
-    // least the minimum geometry, never resized above the population).
-    let queue_bytes = match config.queue.resolve() {
-        QueueBackend::Heap => n * EventQueue::<u32>::entry_bytes() as u64,
-        QueueBackend::Calendar => {
-            let nbuckets = (n as usize).next_power_of_two().max(4) as u64;
-            n * CalendarQueue::<u32>::entry_bytes() as u64 + nbuckets * 4
-        }
-        QueueBackend::Auto => unreachable!(),
-    };
-    audit.record("des.event_queue", queue_bytes);
+    // One pending arrival per cluster.
+    audit.record(
+        "des.event_queue",
+        n * EventQueue::<u32>::entry_bytes() as u64,
+    );
     // Three Welford accumulators (count, mean, M2) per cluster.
     audit.record(
         "des.accumulators",
@@ -1689,9 +1643,20 @@ pub fn des_memory_audit(params: &ModelParams, config: &DesOverlayConfig) -> Memo
     audit
 }
 
-/// The recorder-generic driver behind every public entry point: resolves
-/// the queue backend once and dispatches to the monomorphic core, so the
-/// hot loop never branches on the backend.
+/// Cluster blocks per worker in the block plan (see the module docs).
+const BLOCKS_PER_WORKER: usize = 4;
+
+/// The recorder-generic core behind every public entry point: runs the
+/// block plan (each worker with its own recorder from `make_rec`, handed
+/// from block to block) and merges outcomes in cluster order. Returns
+/// the recorders in worker order so observed callers can merge them; the
+/// unobserved path passes [`NullRecorder`] and the compiler erases every
+/// observation site from the hot loop.
+///
+/// Every cluster's sample path depends only on `(seed, cluster)`, and
+/// worker `w`'s blocks precede worker `w + 1`'s, so concatenating the
+/// worker outputs in worker order yields the blocks in cluster order at
+/// every shard count.
 #[allow(clippy::too_many_arguments)]
 fn run_duel_core<S, D, R, F>(
     params: &ModelParams,
@@ -1706,55 +1671,7 @@ where
     S: Strategy + Sync,
     D: Defense + Sync + ?Sized,
     R: Recorder + Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match config.queue.resolve() {
-        QueueBackend::Heap => run_duel_core_q::<S, D, R, F, EventQueue<u32>>(
-            params, initial, strategy, defense, config, seed, make_rec,
-        ),
-        QueueBackend::Calendar => run_duel_core_q::<S, D, R, F, CalendarQueue<u32>>(
-            params, initial, strategy, defense, config, seed, make_rec,
-        ),
-        // `resolve` always returns a concrete backend.
-        QueueBackend::Auto => unreachable!(),
-    }
-}
-
-/// The backend-monomorphic driver: builds the cluster partition, runs
-/// the shards (each with its own recorder from `make_rec`), and merges
-/// outcomes in cluster order. Returns the recorders in partition order
-/// so observed callers can merge them; the unobserved path passes
-/// [`NullRecorder`] and the compiler erases every observation site from
-/// the hot loop.
-///
-/// Two execution plans share the merge path:
-///
-/// * **Static** (default): shard `i` owns the contiguous clusters
-///   `[i·n/S, (i+1)·n/S)` — one worker thread per shard.
-/// * **Work-stealing** (`config.steal`, with `shards > 1`): the overlay
-///   is cut into ~4·S contiguous blocks (optionally skewed in size by
-///   `steal_skew` to emulate imbalance) and S workers claim blocks off a
-///   shared cursor in a seed-derived order. Because every cluster's
-///   sample path depends only on `(seed, cluster)` and block outcomes
-///   are merged in block (= cluster) order after all workers finish,
-///   the claim interleaving — and the schedule permutation itself —
-///   cannot reach the report bytes; only wall-clock balance changes.
-#[allow(clippy::too_many_arguments)]
-fn run_duel_core_q<S, D, R, F, Q>(
-    params: &ModelParams,
-    initial: &InitialCondition,
-    strategy: &S,
-    defense: &D,
-    config: &DesOverlayConfig,
-    seed: u64,
-    make_rec: F,
-) -> (DesOverlayReport, DesShardStats, Vec<R>)
-where
-    S: Strategy + Sync,
-    D: Defense + Sync + ?Sized,
-    R: Recorder + Send,
-    F: Fn(usize) -> R + Sync,
-    Q: FutureEventList<u32>,
+    F: Fn() -> R + Sync,
 {
     assert!(
         config.cluster_bits <= 24,
@@ -1779,6 +1696,7 @@ where
     );
     let n = 1usize << config.cluster_bits;
     let shards = config.shards.clamp(1, n);
+    let nblocks = (BLOCKS_PER_WORKER * shards).min(n);
 
     let space = ModelSpace::new(params);
     let alpha = initial
@@ -1787,153 +1705,48 @@ where
     let table = AliasTable::new(&alpha).expect("alpha is a distribution");
     let states: Vec<ClusterState> = space.iter().map(|(_, st)| *st).collect();
 
-    // Both plans produce `outcomes` in cluster order plus per-worker
-    // wall-clock stats; everything below the partition is shared.
-    let (outcomes, shard_events, shard_seconds): (Vec<(ShardOutcome, R)>, Vec<u64>, Vec<f64>) =
-        if config.steal && shards > 1 {
-            // Work-stealing plan: ~4 blocks per worker so a worker that
-            // drew cheap blocks can claim more, with optional size skew
-            // to provoke the imbalance the plan exists to absorb.
-            let nblocks = (shards * 4).clamp(shards, n);
-            let skew = u64::from(config.steal_skew);
-            let weights: Vec<u64> = (0..nblocks as u64).map(|i| 1 + skew * (i % 4)).collect();
-            let total: u64 = weights.iter().sum();
-            let mut bounds = Vec::with_capacity(nblocks + 1);
-            bounds.push(0usize);
-            let mut cum = 0u64;
-            for w in &weights {
-                cum += w;
-                // Monotone cumulative rounding: never overflows, never
-                // regresses, and lands exactly on n at the last block.
-                bounds.push(((n as u128 * u128::from(cum)) / u128::from(total)) as usize);
-            }
-            // Seed-derived claim order (Fisher–Yates off a schedule-only
-            // stream at the reserved counter u64::MAX — no cluster uses
-            // it). The order decides which worker runs which block and
-            // nothing else, so it is free to vary without touching
-            // report bytes; deriving it from the seed keeps wall-clock
-            // behaviour reproducible run-to-run.
-            let mut order: Vec<usize> = (0..nblocks).collect();
-            let mut sched_rng = StdRng::seed_from_u64(replication_seed(seed, u64::MAX));
-            for i in (1..nblocks).rev() {
-                let j = sched_rng.random_range(0..i + 1);
-                order.swap(i, j);
-            }
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            let per_worker: Vec<Vec<(usize, ShardOutcome, R)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let order = &order[..];
-                        let bounds = &bounds[..];
-                        let table = &table;
-                        let states = &states[..];
-                        let make_rec = &make_rec;
-                        scope.spawn(move || {
-                            let mut claimed = Vec::new();
-                            loop {
-                                let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                if k >= order.len() {
-                                    break;
-                                }
-                                let b = order[k];
-                                let (lo, hi) = (bounds[b], bounds[b + 1]);
-                                let (outcome, rec) = run_shard::<S, D, R, Q>(
-                                    params,
-                                    strategy,
-                                    defense,
-                                    config,
-                                    table,
-                                    states,
-                                    seed,
-                                    lo,
-                                    hi - lo,
-                                    n,
-                                    make_rec(b),
-                                );
-                                claimed.push((b, outcome, rec));
-                            }
-                            claimed
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("DES shard panicked"))
-                    .collect()
-            });
-            // Per-worker stats show the balance the cursor achieved;
-            // outcomes re-sort into block (= cluster) order for the
-            // merge, which is what makes the claim interleaving
-            // unobservable in the report.
-            let mut events_by_worker = Vec::with_capacity(shards);
-            let mut seconds_by_worker = Vec::with_capacity(shards);
-            let mut tagged: Vec<(usize, ShardOutcome, R)> = Vec::with_capacity(nblocks);
-            for claimed in per_worker {
-                events_by_worker.push(claimed.iter().map(|(_, o, _)| o.events).sum());
-                seconds_by_worker.push(claimed.iter().map(|(_, o, _)| o.seconds).sum());
-                tagged.extend(claimed);
-            }
-            tagged.sort_by_key(|&(b, _, _)| b);
-            (
-                tagged.into_iter().map(|(_, o, r)| (o, r)).collect(),
-                events_by_worker,
-                seconds_by_worker,
-            )
-        } else {
-            // Static plan — contiguous partition: shard i owns clusters
-            // [i·n/S, (i+1)·n/S), so concatenating shard outcomes in
-            // shard order is cluster order for every shard count.
-            let bounds: Vec<usize> = (0..=shards).map(|i| i * n / shards).collect();
-            let outcomes: Vec<(ShardOutcome, R)> = if shards == 1 {
-                vec![run_shard::<S, D, R, Q>(
-                    params,
-                    strategy,
-                    defense,
-                    config,
-                    &table,
-                    &states,
-                    seed,
-                    0,
-                    n,
-                    n,
-                    make_rec(0),
-                )]
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..shards)
-                        .map(|i| {
-                            let (lo, hi) = (bounds[i], bounds[i + 1]);
-                            let table = &table;
-                            let states = &states[..];
-                            let rec = make_rec(i);
-                            scope.spawn(move || {
-                                run_shard::<S, D, R, Q>(
-                                    params,
-                                    strategy,
-                                    defense,
-                                    config,
-                                    table,
-                                    states,
-                                    seed,
-                                    lo,
-                                    hi - lo,
-                                    n,
-                                    rec,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("DES shard panicked"))
-                        .collect()
+    let (outcomes, recorders): (Vec<Vec<BlockOutcome>>, Vec<R>) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .map(|w| {
+                let (table, states, make_rec) = (&table, &states[..], &make_rec);
+                scope.spawn(move || {
+                    let mut rec = make_rec();
+                    let mut blocks = Vec::new();
+                    for b in w * nblocks / shards..(w + 1) * nblocks / shards {
+                        let (lo, hi) = (b * n / nblocks, (b + 1) * n / nblocks);
+                        let (outcome, block_rec) = run_block(
+                            params,
+                            strategy,
+                            defense,
+                            config,
+                            table,
+                            states,
+                            seed,
+                            lo,
+                            hi - lo,
+                            n,
+                            rec,
+                        );
+                        blocks.push(outcome);
+                        rec = block_rec;
+                    }
+                    (blocks, rec)
                 })
-            };
-            let events = outcomes.iter().map(|(o, _)| o.events).collect();
-            let seconds = outcomes.iter().map(|(o, _)| o.seconds).collect();
-            (outcomes, events, seconds)
-        };
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("DES shard panicked"))
+            .unzip()
+    });
+    let shard_events = outcomes
+        .iter()
+        .map(|blocks| blocks.iter().map(|o| o.events).sum())
+        .collect();
+    let shard_seconds = outcomes
+        .iter()
+        .map(|blocks| blocks.iter().map(|o| o.seconds).sum())
+        .collect();
 
     // Merge in cluster order: integer tallies sum (order-free), the
     // moment accumulators merge cluster by cluster (ordered, so the
@@ -1954,7 +1767,7 @@ where
     let mut end_time = 0.0f64;
     let mut occ_safe = vec![0u64; config.sample_times.len()];
     let mut occ_poll = vec![0u64; config.sample_times.len()];
-    for (o, _) in &outcomes {
+    for o in outcomes.iter().flatten() {
         for w in &o.safe_w {
             safe_w.merge(w);
         }
@@ -2028,7 +1841,6 @@ where
         regen_events,
         occupancy,
     };
-    let recorders = outcomes.into_iter().map(|(_, r)| r).collect();
     (
         report,
         DesShardStats {
@@ -2163,12 +1975,13 @@ mod tests {
                     obs.registry.counter(DesEventKind::Absorption.counter_key()),
                     Some(observed.absorbed).filter(|&a| a > 0)
                 );
-                // Queues are shard-local: the merged high-water is the
+                // Queues are block-local: the merged high-water is the
                 // deepest *local* future-event list (64 clusters split
-                // over the shards).
+                // over the blocks).
+                let nblocks = (BLOCKS_PER_WORKER * cfg.shards).min(64);
                 assert_eq!(
                     obs.registry.high_water_mark("des.queue.depth_high_water"),
-                    Some(64 / cfg.shards as u64)
+                    Some(64 / nblocks as u64)
                 );
                 assert!(!obs.trace.is_empty());
                 assert!(obs.trace.windows(2).all(|w| w[0].time <= w[1].time));
@@ -2182,7 +1995,7 @@ mod tests {
     #[test]
     fn memory_audit_matches_allocation_formulas() {
         let p = params(0.2, 0.8);
-        let cfg = config(6).with_queue_backend(QueueBackend::Heap);
+        let cfg = config(6);
         let audit = des_memory_audit(&p, &cfg);
         let n = 64u64;
         let c_size = p.core_size() as u64;
@@ -2203,100 +2016,61 @@ mod tests {
             audit.get("des.event_queue"),
             Some(n * EventQueue::<u32>::entry_bytes() as u64)
         );
-        // The calendar adds only its bucket-head table (u32 heads, one
-        // per bucket, n already a power of two).
-        let cal = des_memory_audit(&p, &cfg.clone().with_queue_backend(QueueBackend::Calendar));
-        assert_eq!(
-            cal.get("des.event_queue"),
-            Some(n * CalendarQueue::<u32>::entry_bytes() as u64 + n * 4)
-        );
         // The headline number the scaling ladder asserts on: the packed
         // layout sits well under the pre-refactor 25.0 B/node.
         assert!(
-            audit.bytes_per_node() < 25.0 && cal.bytes_per_node() < 25.0,
-            "bytes/node regressed: heap {} calendar {}",
-            audit.bytes_per_node(),
-            cal.bytes_per_node()
+            audit.bytes_per_node() < 25.0,
+            "bytes/node regressed: {}",
+            audit.bytes_per_node()
         );
         // Shard count never changes the audit's inputs.
         assert_eq!(audit, des_memory_audit(&p, &cfg.clone().with_shards(8)));
     }
 
     #[test]
-    fn queue_backends_are_byte_identical_end_to_end() {
-        // The backend contract at the report level: same seeds, same
-        // bytes, on plain, regenerating, sampled and sharded runs.
+    fn block_plan_is_byte_identical_at_any_shard_count() {
+        // The block-plan contract: at every worker count — including
+        // counts that divide neither the cluster count nor the block
+        // count, and counts whose 4·shards blocks clamp to one cluster
+        // each — the report reproduces the single-shard bytes exactly.
         let p = params(0.25, 0.9);
         let strategy = TargetedStrategy::new(1, 0.1).unwrap();
-        for cfg in [
-            config(6),
-            config(6).with_regeneration().with_warmup_events(20),
-            config(6)
+        for bits in [4u32, 6] {
+            let base = config(bits)
                 .with_regeneration()
-                .with_sample_times(vec![0.0, 5.0, 25.0, 1e9])
-                .with_shards(4),
-        ] {
-            let heap = run_des_overlay(
-                &p,
-                &InitialCondition::Delta,
-                &strategy,
-                &cfg.clone().with_queue_backend(QueueBackend::Heap),
-                5,
-            );
-            let calendar = run_des_overlay(
-                &p,
-                &InitialCondition::Delta,
-                &strategy,
-                &cfg.clone().with_queue_backend(QueueBackend::Calendar),
-                5,
-            );
-            assert_eq!(heap, calendar);
-        }
-    }
-
-    #[test]
-    fn work_stealing_is_byte_identical_at_any_skew_and_shard_count() {
-        // The stealing contract: the blocked claim-order plan — at every
-        // skew and worker count, on both backends — reproduces the
-        // single-shard bytes exactly.
-        let p = params(0.25, 0.9);
-        let strategy = TargetedStrategy::new(1, 0.1).unwrap();
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            let base = config(6)
-                .with_regeneration()
-                .with_sample_times(vec![0.0, 5.0, 25.0])
-                .with_queue_backend(backend);
+                .with_sample_times(vec![0.0, 5.0, 25.0]);
             let one = run_des_overlay(&p, &InitialCondition::Delta, &strategy, &base, 5);
             for shards in [2usize, 3, 8] {
-                for skew in [0u32, 1, 3] {
-                    let cfg = base.clone().with_shards(shards).with_work_stealing(skew);
-                    let stolen = run_des_overlay(&p, &InitialCondition::Delta, &strategy, &cfg, 5);
-                    assert_eq!(
-                        one, stolen,
-                        "backend {backend:?} shards {shards} skew {skew}"
-                    );
-                }
+                let cfg = base.clone().with_shards(shards);
+                let blocked = run_des_overlay(&p, &InitialCondition::Delta, &strategy, &cfg, 5);
+                assert_eq!(one, blocked, "bits {bits} shards {shards}");
             }
         }
     }
 
     #[test]
-    fn work_stealing_stats_are_per_worker_and_partition_the_events() {
+    fn block_plan_stats_are_per_worker_and_partition_the_events() {
         let p = params(0.25, 0.9);
         let strategy = TargetedStrategy::new(1, 0.1).unwrap();
-        let cfg = config(7).with_shards(4).with_work_stealing(2);
-        let (report, stats) = run_des_overlay_duel_with_stats(
-            &p,
-            &InitialCondition::Delta,
-            &strategy,
-            &NullDefense::new(),
-            &cfg,
-            3,
-        );
+        let cfg = config(7).with_shards(4);
+        let run = || {
+            run_des_overlay_duel_with_stats(
+                &p,
+                &InitialCondition::Delta,
+                &strategy,
+                &NullDefense::new(),
+                &cfg,
+                3,
+            )
+        };
+        let (report, stats) = run();
         // One stats row per worker (not per block), jointly covering
         // every processed event.
         assert_eq!(stats.shards(), 4);
         assert_eq!(stats.shard_events.iter().sum::<u64>(), report.events);
+        // Blocks are assigned statically, so the per-worker event split
+        // is a function of the inputs, not of thread timing.
+        assert_eq!(run().1.shard_events, stats.shard_events);
     }
 
     #[test]

@@ -1,214 +1,24 @@
-//! The queue-backend abstraction: one trait over the two future-event
-//! lists ([`EventQueue`], [`CalendarQueue`]) plus the [`QueueBackend`]
-//! selector consumers put in their configs.
-//!
-//! Both backends implement the **same dispatch contract** — strict
-//! `(time, seq)` order, FIFO tie-breaking, fused `replace_earliest` —
-//! so a simulation generic over [`FutureEventList`] produces *identical
-//! event streams* on either; only the constant factors differ (log₄ n
-//! sifts vs O(1) amortized bucket hops). Keeping both live makes every
-//! result diffable across backends, which CI exploits as a standing
-//! correctness check.
+//! The queue-backend selector, kept for provenance: the engine runs on
+//! one future-event list, the 4-ary heap ([`crate::EventQueue`]), and
+//! consumers that record which queue a result was measured on still
+//! print this enum.
 
-use crate::{CalendarQueue, EventQueue, SimTime};
-
-/// A deterministic future-event list: the operations the simulation hot
-/// loop needs, with `(time, seq)` dispatch order and FIFO tie-breaking
-/// guaranteed by every implementor.
-pub trait FutureEventList<E: Copy> {
-    /// An empty list pre-sized for `expected_events` pending events that
-    /// individually recur at `event_rate` (events per simulated time
-    /// unit). The heap uses only the count; the calendar queue also
-    /// tunes its bucket width from the rate.
-    fn with_profile(expected_events: usize, event_rate: f64) -> Self;
-
-    /// Schedules `event` at `time`.
-    fn push(&mut self, time: SimTime, event: E);
-
-    /// Removes and returns the earliest event.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-
-    /// The earliest pending event, without removing it.
-    fn peek(&self) -> Option<(SimTime, &E)>;
-
-    /// Timestamp of the earliest pending event.
-    fn peek_time(&self) -> Option<SimTime>;
-
-    /// Removes and returns the earliest event while scheduling `event`
-    /// at `time` (the fused pop-then-push); `None` — after scheduling
-    /// `event` anyway — when the list was empty.
-    fn replace_earliest(&mut self, time: SimTime, event: E) -> Option<(SimTime, E)>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// `true` when no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Writes up to four payloads likely to dispatch soon into `out`
-    /// and returns how many were written. Purely a prefetch hint: any
-    /// subset of pending events (in any order) is a valid answer, and
-    /// implementations must never let it affect dispatch.
-    fn prefetch_hints(&self, out: &mut [E; 4]) -> usize;
-
-    /// Exact byte size of one stored event (the memory-audit unit).
-    fn entry_bytes() -> usize;
-
-    /// Bytes of the backing allocations.
-    fn queue_bytes(&self) -> usize;
-}
-
-impl<E: Copy> FutureEventList<E> for EventQueue<E> {
-    #[inline]
-    fn with_profile(expected_events: usize, _event_rate: f64) -> Self {
-        EventQueue::with_capacity(expected_events)
-    }
-
-    #[inline]
-    fn push(&mut self, time: SimTime, event: E) {
-        EventQueue::push(self, time, event);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<(SimTime, &E)> {
-        EventQueue::peek(self)
-    }
-
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-
-    #[inline]
-    fn replace_earliest(&mut self, time: SimTime, event: E) -> Option<(SimTime, E)> {
-        EventQueue::replace_earliest(self, time, event)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-
-    #[inline]
-    fn prefetch_hints(&self, out: &mut [E; 4]) -> usize {
-        let mut n = 0;
-        for &e in self.runners_up() {
-            if n == out.len() {
-                break;
-            }
-            out[n] = e;
-            n += 1;
-        }
-        n
-    }
-
-    #[inline]
-    fn entry_bytes() -> usize {
-        EventQueue::<E>::entry_bytes()
-    }
-
-    #[inline]
-    fn queue_bytes(&self) -> usize {
-        self.heap_bytes()
-    }
-}
-
-impl<E: Copy> FutureEventList<E> for CalendarQueue<E> {
-    #[inline]
-    fn with_profile(expected_events: usize, event_rate: f64) -> Self {
-        CalendarQueue::with_profile(expected_events, event_rate)
-    }
-
-    #[inline]
-    fn push(&mut self, time: SimTime, event: E) {
-        CalendarQueue::push(self, time, event);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        CalendarQueue::pop(self)
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<(SimTime, &E)> {
-        CalendarQueue::peek(self)
-    }
-
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        CalendarQueue::peek_time(self)
-    }
-
-    #[inline]
-    fn replace_earliest(&mut self, time: SimTime, event: E) -> Option<(SimTime, E)> {
-        CalendarQueue::replace_earliest(self, time, event)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        CalendarQueue::len(self)
-    }
-
-    #[inline]
-    fn prefetch_hints(&self, out: &mut [E; 4]) -> usize {
-        CalendarQueue::prefetch_hints(self, out)
-    }
-
-    #[inline]
-    fn entry_bytes() -> usize {
-        CalendarQueue::<E>::entry_bytes()
-    }
-
-    #[inline]
-    fn queue_bytes(&self) -> usize {
-        CalendarQueue::queue_bytes(self)
-    }
-}
-
-/// Which future-event list a simulation runs on. Both choices produce
-/// byte-identical results (the [`FutureEventList`] dispatch contract);
-/// the selector only trades constant factors.
+/// Which future-event list a simulation runs on. There is one, so every
+/// variant resolves to [`QueueBackend::Heap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueBackend {
-    /// Resolve from the `POLLUX_DES_QUEUE` environment variable
-    /// (`heap` | `calendar`), defaulting to [`QueueBackend::Heap`] when
-    /// unset. The env lever lets CI diff backends across whole sweep
-    /// artefacts without plumbing a flag through every binary — safe
-    /// precisely because the backends are byte-identical by contract.
+    /// The default; resolves to [`QueueBackend::Heap`].
     #[default]
     Auto,
-    /// The index-based 4-ary min-heap ([`EventQueue`]).
+    /// The index-based 4-ary min-heap ([`crate::EventQueue`]).
     Heap,
-    /// The calendar queue ([`CalendarQueue`]).
-    Calendar,
 }
 
 impl QueueBackend {
-    /// Resolves [`QueueBackend::Auto`] against `POLLUX_DES_QUEUE`;
-    /// explicit choices pass through untouched.
-    ///
-    /// # Panics
-    ///
-    /// On an unrecognized `POLLUX_DES_QUEUE` value — a typoed CI lever
-    /// must fail loudly, not silently measure the wrong backend.
+    /// The backend a run uses: always [`QueueBackend::Heap`].
     #[must_use]
     pub fn resolve(self) -> QueueBackend {
-        match self {
-            QueueBackend::Heap | QueueBackend::Calendar => self,
-            QueueBackend::Auto => match std::env::var("POLLUX_DES_QUEUE") {
-                Ok(v) if v == "heap" => QueueBackend::Heap,
-                Ok(v) if v == "calendar" => QueueBackend::Calendar,
-                Ok(v) => panic!("POLLUX_DES_QUEUE must be `heap` or `calendar`, got `{v}`"),
-                Err(_) => QueueBackend::Heap,
-            },
-        }
+        QueueBackend::Heap
     }
 }
 
@@ -216,39 +26,9 @@ impl QueueBackend {
 mod tests {
     use super::*;
 
-    /// Drains any implementor through the trait, checking order.
-    fn drive<Q: FutureEventList<u32>>() -> Vec<u32> {
-        let mut q = Q::with_profile(8, 1.0);
-        q.push(SimTime::from(3.0), 30);
-        q.push(SimTime::from(1.0), 10);
-        q.push(SimTime::from(3.0), 31);
-        assert_eq!(q.peek_time(), Some(SimTime::from(1.0)));
-        assert_eq!(
-            q.peek().map(|(t, &e)| (t, e)),
-            Some((SimTime::from(1.0), 10))
-        );
-        let mut hints = [0u32; 4];
-        let n = q.prefetch_hints(&mut hints);
-        assert!(n <= q.len());
-        let replaced = q.replace_earliest(SimTime::from(2.0), 20);
-        assert_eq!(replaced, Some((SimTime::from(1.0), 10)));
-        assert!(Q::entry_bytes() > 0 && q.queue_bytes() > 0);
-        std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect()
-    }
-
-    #[test]
-    fn both_backends_honor_the_trait_contract() {
-        assert_eq!(drive::<EventQueue<u32>>(), vec![20, 30, 31]);
-        assert_eq!(drive::<CalendarQueue<u32>>(), vec![20, 30, 31]);
-    }
-
     #[test]
     fn explicit_backends_resolve_to_themselves() {
         assert_eq!(QueueBackend::Heap.resolve(), QueueBackend::Heap);
-        assert_eq!(QueueBackend::Calendar.resolve(), QueueBackend::Calendar);
+        assert_eq!(QueueBackend::Auto.resolve(), QueueBackend::Heap);
     }
-
-    // `Auto` resolution reads the process environment; exercised by the
-    // env-sensitive integration paths (CI sets POLLUX_DES_QUEUE), not
-    // here, to keep unit tests hermetic under parallel execution.
 }

@@ -5,11 +5,8 @@
 //! machinery:
 //!
 //! * [`SimTime`] — simulation clock values with a total order.
-//! * [`EventQueue`] / [`CalendarQueue`] — two interchangeable
-//!   future-event lists with deterministic FIFO tie-breaking at equal
-//!   timestamps (a 4-ary heap and an O(1)-amortized calendar queue),
-//!   unified by the [`FutureEventList`] trait and selected via
-//!   [`QueueBackend`].
+//! * [`EventQueue`] — the future-event list: an index-based 4-ary
+//!   min-heap with deterministic FIFO tie-breaking at equal timestamps.
 //! * [`Simulation`] — the main loop driving a user [`EventHandler`].
 //! * [`churn`] — Poisson arrival processes for churn generation.
 //! * [`stats`] — Welford accumulators, counters and time series with
@@ -19,8 +16,9 @@
 //!
 //! The engine is deliberately model-agnostic; its flagship consumer is
 //! `pollux::des_overlay`, which drives a whole clustered overlay
-//! (10⁵–10⁶ nodes) through one [`Simulation`] with per-cluster Poisson
-//! arrival streams and an allocation-free event loop.
+//! (10⁵–10⁷ nodes) as contiguous cluster blocks, each on its own
+//! [`EventQueue`], with per-cluster Poisson arrival streams and an
+//! allocation-free event loop.
 //!
 //! # Example
 //!
@@ -46,7 +44,6 @@
 //! ```
 
 mod backend;
-mod calendar;
 pub mod churn;
 mod engine;
 mod queue;
@@ -54,8 +51,7 @@ pub mod replication;
 pub mod stats;
 mod time;
 
-pub use backend::{FutureEventList, QueueBackend};
-pub use calendar::CalendarQueue;
+pub use backend::QueueBackend;
 pub use engine::{EventHandler, Scheduler, Simulation};
 pub use queue::EventQueue;
 pub use time::SimTime;

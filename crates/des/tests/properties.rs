@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use pollux_des::stats::Welford;
-use pollux_des::{CalendarQueue, EventQueue, SimTime};
+use pollux_des::{EventQueue, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -48,64 +48,6 @@ proptest! {
                 last_popped = Some(t);
             }
         }
-    }
-
-    #[test]
-    fn calendar_queue_matches_heap_dispatch_order(
-        // (op, coarse time) scripts: op 0-1 push, 2 pop, 3 replace_earliest.
-        // Coarse times force many exact ties, so FIFO tie order is
-        // exercised hard; wide times exercise bucket resizes and the
-        // far-future fallback.
-        script in proptest::collection::vec((0u8..4, 0u32..24), 1..400),
-        profile_n in 1usize..64,
-        rate in 0.1f64..4.0,
-    ) {
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::with_profile(profile_n, rate);
-        for (i, &(op, t)) in script.iter().enumerate() {
-            let t = SimTime::from(t as f64);
-            match op {
-                0 | 1 => {
-                    heap.push(t, i);
-                    cal.push(t, i);
-                }
-                2 => prop_assert_eq!(heap.pop(), cal.pop()),
-                _ => {
-                    // The fused operation must agree including its return
-                    // value and the FIFO seq it assigns the replacement.
-                    let a = heap.replace_earliest(t, i + 10_000);
-                    let b = cal.replace_earliest(t, i + 10_000);
-                    prop_assert_eq!(a, b);
-                }
-            }
-            prop_assert_eq!(heap.len(), cal.len());
-            prop_assert_eq!(heap.peek_time(), cal.peek_time());
-        }
-        // Full drains agree event by event.
-        loop {
-            let (a, b) = (heap.pop(), cal.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn calendar_queue_survives_fractional_times_and_resizes(
-        times in proptest::collection::vec(0.0f64..1e4, 1..500),
-    ) {
-        // Pure push-then-drain with continuous times: the calendar's
-        // resizing/width re-estimation must never reorder dispatch.
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            heap.push(SimTime::from(t), i);
-            cal.push(SimTime::from(t), i);
-        }
-        let h: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
-        let c: Vec<_> = std::iter::from_fn(|| cal.pop()).collect();
-        prop_assert_eq!(h, c);
     }
 
     #[test]

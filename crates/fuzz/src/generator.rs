@@ -15,7 +15,7 @@
 //! corners get dedicated probability mass for the same reason.
 
 use crate::metrics::Coverage;
-use crate::scenario::{FuzzScenario, QueueBackendChoice, StrategyChoice, SweepKindChoice};
+use crate::scenario::{FuzzScenario, StrategyChoice, SweepKindChoice};
 use pollux::{AnalysisMode, InitialCondition, ModelParams};
 use pollux_defense::DefenseSpec;
 use rand::rngs::StdRng;
@@ -135,10 +135,10 @@ impl ScenarioGen {
         };
         cov.hit(format!("defense.{}", defense_key(&defense)));
 
-        let mode = match rng.random_range(0..3u32) {
-            0 => AnalysisMode::Auto,
-            1 => AnalysisMode::Dense,
-            _ => AnalysisMode::Sparse,
+        let mode = if rng.random_bool(0.5) {
+            AnalysisMode::Dense
+        } else {
+            AnalysisMode::Sparse
         };
         cov.hit(format!("mode.{}", mode_key(&mode)));
 
@@ -164,18 +164,6 @@ impl ScenarioGen {
         sample_times.sort_by(f64::total_cmp);
         let shards: usize = rng.random_range(2..=8);
         cov.hit(format!("shards.{shards}"));
-
-        // Event-queue backend and the work-stealing shard plan: every
-        // DES-running oracle pair exercises the drawn combination.
-        let queue = QueueBackendChoice::ALL[rng.random_range(0..QueueBackendChoice::ALL.len())];
-        cov.hit(format!("queue.{}", queue.label()));
-        let steal = rng.random_bool(0.5);
-        let steal_skew = if steal { rng.random_range(0..4u32) } else { 0 };
-        cov.hit(if steal {
-            format!("steal.on.{steal_skew}")
-        } else {
-            "steal.off".into()
-        });
 
         let kind = SweepKindChoice::ALL[rng.random_range(0..SweepKindChoice::ALL.len())];
         cov.hit(format!("kind.{}", kind.label()));
@@ -207,9 +195,6 @@ impl ScenarioGen {
             warmup_events,
             sample_times,
             shards,
-            queue,
-            steal,
-            steal_skew,
             kind,
         }
     }
@@ -229,7 +214,6 @@ fn defense_key(spec: &DefenseSpec) -> &'static str {
 
 fn mode_key(mode: &AnalysisMode) -> &'static str {
     match mode {
-        AnalysisMode::Auto => "auto",
         AnalysisMode::Dense => "dense",
         AnalysisMode::Sparse => "sparse",
     }
@@ -253,8 +237,6 @@ mod tests {
         assert!((100..=400).contains(&s.events_per_cluster));
         assert!(s.warmup_events < s.events_per_cluster);
         assert!((2..=8).contains(&s.shards));
-        assert!(s.steal_skew <= 3);
-        assert!(s.steal || s.steal_skew == 0);
         assert!(s.sample_times.windows(2).all(|w| w[0] <= w[1]));
         // The strategy and defense build without error.
         let _ = s.strategy();
@@ -300,7 +282,6 @@ mod tests {
             "defense.induced_churn",
             "defense.incarnation_refresh",
             "defense.adaptive_cluster_size",
-            "mode.auto",
             "mode.dense",
             "mode.sparse",
             "initial.delta",
@@ -323,19 +304,6 @@ mod tests {
             assert!(
                 cov.count(&format!("shards.{shards}")) > 0,
                 "shards {shards}"
-            );
-        }
-        for queue in QueueBackendChoice::ALL {
-            assert!(
-                cov.count(&format!("queue.{}", queue.label())) > 0,
-                "{queue:?}"
-            );
-        }
-        assert!(cov.count("steal.off") > 0, "steal.off never hit");
-        for skew in 0..=3 {
-            assert!(
-                cov.count(&format!("steal.on.{skew}")) > 0,
-                "steal.on.{skew} never hit"
             );
         }
         // All 8 toggle combinations.

@@ -439,7 +439,7 @@ impl DiffRunner {
         // Respect the scenario's analysis-mode override, but never force
         // dense above the cap.
         let mode = if s.mode == AnalysisMode::Dense && s.state_count() > DENSE_STATE_CAP {
-            AnalysisMode::Auto
+            AnalysisMode::Sparse
         } else {
             s.mode
         };

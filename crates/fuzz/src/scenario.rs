@@ -8,7 +8,7 @@
 //! can live in `tests/regressions/` and be replayed forever.
 
 use crate::json::{self, Json};
-use pollux::des_overlay::{DesOverlayConfig, QueueBackend};
+use pollux::des_overlay::DesOverlayConfig;
 use pollux::{AdversaryToggles, AnalysisMode, InitialCondition, ModelParams};
 use pollux_adversary::baselines::{PassiveAdversary, RecklessAdversary};
 use pollux_adversary::{ClusterView, JoinDecision, Strategy, TargetedStrategy};
@@ -42,46 +42,6 @@ impl StrategyChoice {
             StrategyChoice::Targeted => "targeted",
             StrategyChoice::Passive => "passive",
             StrategyChoice::Reckless => "reckless",
-        }
-    }
-
-    fn parse(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|c| c.label() == label)
-    }
-}
-
-/// Which future-event list the scenario's DES runs use.
-///
-/// Fuzzed explicitly (never [`QueueBackend::Auto`], which reads the
-/// process environment — corpus replay must stay hermetic): every
-/// oracle pair that runs a DES therefore exercises the drawn backend,
-/// and the backend byte-identity contract is covered across draws.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueBackendChoice {
-    /// The index-based 4-ary min-heap.
-    Heap,
-    /// The O(1)-amortized calendar queue.
-    Calendar,
-}
-
-impl QueueBackendChoice {
-    /// Every variant, in generator draw order.
-    pub const ALL: [QueueBackendChoice; 2] =
-        [QueueBackendChoice::Heap, QueueBackendChoice::Calendar];
-
-    /// Stable identifier used in JSON and coverage keys.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QueueBackendChoice::Heap => "heap",
-            QueueBackendChoice::Calendar => "calendar",
-        }
-    }
-
-    /// The concrete backend selector.
-    pub fn backend(&self) -> QueueBackend {
-        match self {
-            QueueBackendChoice::Heap => QueueBackend::Heap,
-            QueueBackendChoice::Calendar => QueueBackend::Calendar,
         }
     }
 
@@ -275,12 +235,6 @@ pub struct FuzzScenario {
     /// Shard count of the N-shard half of the byte-identity pair
     /// (`2 ..= 8`; the reference run always uses one shard).
     pub shards: usize,
-    /// Future-event list backend of every DES run in the scenario.
-    pub queue: QueueBackendChoice,
-    /// Work-stealing plan on the multi-shard half (inert at one shard).
-    pub steal: bool,
-    /// Block-size skew of the stealing plan (`0 ..= 3`; 0 when off).
-    pub steal_skew: u32,
     /// The sweep kind exercised by the thread-identity pair.
     pub kind: SweepKindChoice,
 }
@@ -326,11 +280,7 @@ impl FuzzScenario {
     pub fn des_config(&self, shards: usize) -> DesOverlayConfig {
         let mut cfg = DesOverlayConfig::new(self.cluster_bits, self.lambda, self.total_events())
             .with_warmup_events(self.warmup_events)
-            .with_shards(shards)
-            .with_queue_backend(self.queue.backend());
-        if self.steal {
-            cfg = cfg.with_work_stealing(self.steal_skew);
-        }
+            .with_shards(shards);
         if self.regenerate {
             cfg = cfg.with_regeneration();
         }
@@ -495,15 +445,18 @@ impl FuzzScenario {
             ),
         );
         field("shards", self.shards.to_string());
-        field("queue", format!("\"{}\"", self.queue.label()));
-        field("steal", self.steal.to_string());
-        field("steal_skew", self.steal_skew.to_string());
         // Last field without the trailing comma.
         let _ = write!(out, "  \"kind\": \"{}\"\n}}\n", self.kind.label());
         out
     }
 
     /// Parses a scenario back from [`FuzzScenario::to_json`] output.
+    ///
+    /// Older corpus entries keep loading: formats 1 and 2 are accepted,
+    /// the retired `queue`, `steal` and `steal_skew` fields of format 2
+    /// are ignored (every DES runs one execution plan), and the
+    /// retired `"auto"` analysis mode reads as the default,
+    /// [`AnalysisMode::Sparse`].
     ///
     /// # Errors
     ///
@@ -560,23 +513,11 @@ impl FuzzScenario {
             .collect::<Result<_, _>>()?;
         let defense = parse_defense(str_field("defense")?, &defense_params)?;
         let mode = match str_field("mode")? {
-            "auto" => AnalysisMode::Auto,
             "dense" => AnalysisMode::Dense,
-            "sparse" => AnalysisMode::Sparse,
+            "sparse" | "auto" => AnalysisMode::Sparse,
             other => return Err(format!("unsupported mode '{other}'")),
         };
         let kind = SweepKindChoice::parse(str_field("kind")?).ok_or("unsupported kind")?;
-        // Format 1 predates the queue/stealing dimensions; old corpus
-        // entries replay on the then-only configuration.
-        let (queue, steal, steal_skew) = if format >= 2 {
-            (
-                QueueBackendChoice::parse(str_field("queue")?).ok_or("unsupported queue")?,
-                bool_field("steal")?,
-                u64_field("steal_skew")? as u32,
-            )
-        } else {
-            (QueueBackendChoice::Heap, false, 0)
-        };
         let sample_times: Vec<f64> = v
             .get("sample_times")
             .and_then(Json::as_arr)
@@ -608,9 +549,6 @@ impl FuzzScenario {
             warmup_events: u64_field("warmup_events")?,
             sample_times,
             shards: usize_field("shards")?,
-            queue,
-            steal,
-            steal_skew,
             kind,
         };
         // Validate the model invariants eagerly so replay failures point
@@ -629,16 +567,12 @@ impl FuzzScenario {
         if scenario.shards == 0 {
             return Err("shards must be ≥ 1".into());
         }
-        if scenario.steal_skew > 3 || (!scenario.steal && scenario.steal_skew != 0) {
-            return Err("steal_skew must be 0..=3, and 0 when stealing is off".into());
-        }
         Ok(scenario)
     }
 }
 
 fn mode_label(mode: &AnalysisMode) -> &'static str {
     match mode {
-        AnalysisMode::Auto => "auto",
         AnalysisMode::Dense => "dense",
         AnalysisMode::Sparse => "sparse",
     }
@@ -712,9 +646,6 @@ mod tests {
             warmup_events: 100,
             sample_times: vec![1.5, 12.0],
             shards: 6,
-            queue: QueueBackendChoice::Calendar,
-            steal: true,
-            steal_skew: 2,
             kind: SweepKindChoice::Duel,
         }
     }
@@ -727,6 +658,20 @@ mod tests {
         assert_eq!(back, s);
         // Serialization is deterministic.
         assert_eq!(back.to_json(), text);
+        // A format-2 entry written before the single DES execution plan
+        // still parses: its queue/stealing fields are ignored and the
+        // retired "auto" mode reads as the sparse default.
+        let legacy = text
+            .replace("  \"mode\": \"sparse\",\n", "  \"mode\": \"auto\",\n")
+            .replace(
+                "  \"shards\": 6,\n",
+                "  \"shards\": 6,\n  \"queue\": \"calendar\",\n  \"steal\": true,\n  \"steal_skew\": 2,\n",
+            );
+        assert_ne!(legacy, text);
+        assert_eq!(
+            FuzzScenario::from_json(&legacy).expect("legacy format 2"),
+            s
+        );
     }
 
     #[test]
@@ -740,26 +685,16 @@ mod tests {
         let mut s = sample();
         s.mu = 1.0;
         assert!(FuzzScenario::from_json(&s.to_json()).is_err());
-        let mut s = sample();
-        s.steal = false; // skew without stealing is not a generated point
-        assert!(FuzzScenario::from_json(&s.to_json()).is_err());
     }
 
     #[test]
     fn format_one_corpora_replay_on_the_legacy_configuration() {
         // Pre-queue/stealing corpus entries must keep replaying exactly
-        // as they did when committed: heap backend, static shard plan.
+        // as they did when committed.
         let s = sample();
-        let text = s
-            .to_json()
-            .replace("\"format\": 2,", "\"format\": 1,")
-            .replace("  \"queue\": \"calendar\",\n", "")
-            .replace("  \"steal\": true,\n", "")
-            .replace("  \"steal_skew\": 2,\n", "");
+        let text = s.to_json().replace("\"format\": 2,", "\"format\": 1,");
         let back = FuzzScenario::from_json(&text).expect("format 1 parses");
-        assert_eq!(back.queue, QueueBackendChoice::Heap);
-        assert!(!back.steal);
-        assert_eq!(back.steal_skew, 0);
+        assert_eq!(back, s);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! config.
 
 use crate::runner::{DiffRunner, PairStatus};
-use crate::scenario::{FuzzScenario, QueueBackendChoice, StrategyChoice, SweepKindChoice};
+use crate::scenario::{FuzzScenario, StrategyChoice, SweepKindChoice};
 use pollux::InitialCondition;
 use pollux_defense::DefenseSpec;
 
@@ -32,7 +32,7 @@ type Move = fn(&FuzzScenario) -> Option<FuzzScenario>;
 /// The move list, cheapest/most-structural first. Order matters only
 /// for determinism and speed, not correctness — the outer loop runs to
 /// a fixpoint.
-const MOVES: [Move; 18] = [
+const MOVES: [Move; 16] = [
     // Structural simplifications.
     |s| {
         (s.defense != DefenseSpec::Null).then(|| {
@@ -89,21 +89,6 @@ const MOVES: [Move; 18] = [
         s.regenerate.then(|| {
             let mut c = s.clone();
             c.regenerate = false;
-            c
-        })
-    },
-    |s| {
-        (s.queue != QueueBackendChoice::Heap).then(|| {
-            let mut c = s.clone();
-            c.queue = QueueBackendChoice::Heap;
-            c
-        })
-    },
-    |s| {
-        s.steal.then(|| {
-            let mut c = s.clone();
-            c.steal = false;
-            c.steal_skew = 0;
             c
         })
     },
@@ -252,9 +237,6 @@ mod tests {
         assert!(m.sample_times.is_empty());
         assert_eq!(m.warmup_events, 0);
         assert!(!m.regenerate);
-        assert_eq!(m.queue, QueueBackendChoice::Heap);
-        assert!(!m.steal);
-        assert_eq!(m.steal_skew, 0);
         // And the minimum still fails.
         assert_eq!(
             runner.run_pair(m, PAIR_NAMES[0]).status,

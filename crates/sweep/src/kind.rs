@@ -61,11 +61,12 @@ pub enum OutputKind {
     StateSpace,
     /// Sparse-pipeline scaling probe: the full analytical battery
     /// (Relations 5–6, Relation 9, pollution probability) evaluated
-    /// through [`pollux::AnalysisMode::Auto`], reporting the state-space
-    /// and non-zero counts alongside. Pushes Δ far past the paper's 7
-    /// (state spaces of 10⁴–10⁵ states, where the dense pipeline's O(n²)
-    /// memory and O(n³) solves are unusable); deterministic, so the
-    /// artefacts stay byte-identical across thread counts.
+    /// through the default [`pollux::AnalysisMode::Sparse`] pipeline,
+    /// reporting the state-space and non-zero counts alongside. Pushes Δ
+    /// far past the paper's 7 (state spaces of 10⁴–10⁵ states, where the
+    /// dense pipeline's O(n²) memory and O(n³) solves are unusable);
+    /// deterministic, so the artefacts stay byte-identical across thread
+    /// counts.
     StateSpaceScaling,
     /// Overlay-level proportions `E(N_S(m))/n`, `E(N_P(m))/n`
     /// (Theorem 2) — Figure 5. One row per `(n, m)`.
@@ -936,11 +937,14 @@ impl OutputKind {
     /// accounting `pollux-obs` exposes) of the *largest* sub-run the cell
     /// will launch (sub-runs are sequential, so the peak is the max, not
     /// the sum) plus a per-shard working-set allowance for each worker's
-    /// scratch (RNG state, staged accumulators, stack). The allowance is
-    /// what makes shard shedding a real degradation lever: the audited
-    /// tables are shard-invariant by design, so shards only add scratch —
-    /// and since DES output bytes are shard-invariant too, shedding
-    /// changes the memory plan without touching a single artefact byte.
+    /// scratch (RNG state, staged accumulators, stack). The audit is the
+    /// total over all cluster blocks of the run, an upper bound on its
+    /// live set: only `shards` blocks of flags, hot columns and queues
+    /// are alive at once. The allowance is what makes shard shedding a
+    /// real degradation lever: the audited tables are shard-invariant by
+    /// design, so shards only add scratch — and since DES output bytes
+    /// are shard-invariant too, shedding changes the memory plan without
+    /// touching a single artefact byte.
     #[must_use]
     pub fn predicted_memory_bytes(&self, cell: &SweepCell, shards: usize) -> Option<u64> {
         /// Working-set allowance per DES shard worker (scratch buffers,

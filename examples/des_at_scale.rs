@@ -12,13 +12,8 @@
 //! `BENCH_des.json` always measure the same thing.
 //!
 //! ```text
-//! cargo run --release --example des_at_scale [-- --queue {heap,calendar}]
+//! cargo run --release --example des_at_scale
 //! ```
-//!
-//! `--queue` selects the future-event-list backend (default `heap`, the
-//! 4-ary min-heap; `calendar` is the O(1)-amortized calendar queue).
-//! The reports are byte-identical either way — this flag only moves the
-//! throughput numbers.
 //!
 //! The shard count defaults to the machine's available parallelism;
 //! override it with `POLLUX_DES_SHARDS=N`.
@@ -33,7 +28,7 @@
 
 use std::time::Instant;
 
-use pollux::des_overlay::{run_des_overlay_duel_observed, QueueBackend};
+use pollux::des_overlay::run_des_overlay_duel_observed;
 use pollux::{ClusterAnalysis, InitialCondition};
 use pollux_adversary::TargetedStrategy;
 use pollux_bench::des_ladder::{
@@ -42,33 +37,7 @@ use pollux_bench::des_ladder::{
 };
 use pollux_defense::NullDefense;
 
-fn parse_queue_flag() -> Result<QueueBackend, String> {
-    let mut args = std::env::args().skip(1);
-    let mut queue = QueueBackend::Heap;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--queue" => {
-                let v = args.next().ok_or("--queue needs a value")?;
-                queue = match v.as_str() {
-                    "heap" => QueueBackend::Heap,
-                    "calendar" => QueueBackend::Calendar,
-                    other => return Err(format!("unknown queue backend '{other}'")),
-                };
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    Ok(queue)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let queue = match parse_queue_flag() {
-        Ok(q) => q,
-        Err(msg) => {
-            eprintln!("des_at_scale: {msg}\nusage: des_at_scale [--queue {{heap,calendar}}]");
-            std::process::exit(2);
-        }
-    };
     let params = ladder_params();
     let strategy = TargetedStrategy::new(params.k(), params.nu()).unwrap();
     let analysis = ClusterAnalysis::new(&params, InitialCondition::Delta)?;
@@ -87,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max(1);
 
     println!("model: {params}");
-    println!("queue: {queue:?}");
     println!("markov: E(T_S) = {e_ts:.4}  E(T_P) = {e_tp:.4}  p(AmP) = {amp:.4}\n");
 
     for bits in [14u32, 17] {
@@ -95,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // (E(T) ≈ 13 events, and unused budget costs nothing without
         // regeneration) keeps the censoring probability of the sojourn
         // tail negligible.
-        let config = ladder_config(bits, queue);
+        let config = ladder_config(bits);
         let (r, secs) = time_single(&params, &strategy, &config, 1);
         println!(
             "n = {} clusters ({} nodes at t=0, peak {}):",
@@ -113,9 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.end_time
         );
 
-        // The same run sharded with deterministic work-stealing on:
-        // byte-identical report, scaled wall clock.
-        let sharded_config = config.clone().with_shards(shards).with_work_stealing(1);
+        // The same run sharded: byte-identical report, scaled wall clock.
+        let sharded_config = config.clone().with_shards(shards);
         let (sharded, stats, sharded_secs) = time_sharded(&params, &strategy, &sharded_config, 1);
         assert_eq!(r, sharded, "sharding must never change the bytes");
         let per_shard: Vec<String> = stats

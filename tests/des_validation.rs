@@ -5,11 +5,10 @@
 //! exercises the sharded engine end-to-end — and must agree with the
 //! Markov model within its statistical tolerances. A property test
 //! additionally pins [`pollux::des_overlay`]'s shard-invariance contract
-//! (byte-identical `DesOverlayReport`s at 1, 2 and 8 shards, across both
-//! queue backends and the work-stealing plan, with and without a defense
-//! in the loop) across random `(C, Δ, k, μ, d)` draws.
+//! (byte-identical `DesOverlayReport`s at 1, 2 and 8 shards, with and
+//! without a defense in the loop) across random `(C, Δ, k, μ, d)` draws.
 
-use pollux::des_overlay::{run_des_overlay, run_des_overlay_duel, DesOverlayConfig, QueueBackend};
+use pollux::des_overlay::{run_des_overlay, run_des_overlay_duel, DesOverlayConfig};
 use pollux::{InitialCondition, ModelParams};
 use pollux_adversary::TargetedStrategy;
 use pollux_defense::IncarnationRefresh;
@@ -102,14 +101,11 @@ proptest! {
     /// streams make every report a function of `(inputs, seed)` alone, so
     /// shard counts 1, 2 and 8 must produce byte-identical reports — in
     /// plain runs, in regeneration mode with an occupancy grid, and with
-    /// a randomness-consuming defense in the loop. The contract extends
-    /// over both queue backends (calendar reports must equal heap
-    /// reports) and the work-stealing plan at a random skew.
+    /// a randomness-consuming defense in the loop.
     #[test]
     fn des_reports_are_byte_identical_across_shard_counts(
         params in params_strategy(),
         seed in 0u64..1_000_000,
-        skew in 0u32..=3,
     ) {
         let strategy = TargetedStrategy::new(params.k(), params.nu())
             .expect("k and nu come from valid draws");
@@ -119,19 +115,10 @@ proptest! {
             .with_regeneration()
             .with_sample_times(vec![0.0, 3.0, 40.0, 1e9]);
         for cfg in [plain, regen] {
-            let cfg = cfg.with_queue_backend(QueueBackend::Heap);
             let one = run_des_overlay(&params, &InitialCondition::Delta, &strategy, &cfg, seed);
             let one_duel = run_des_overlay_duel(
                 &params, &InitialCondition::Delta, &strategy, &defense, &cfg, seed,
             );
-            let cal = run_des_overlay(
-                &params,
-                &InitialCondition::Delta,
-                &strategy,
-                &cfg.clone().with_queue_backend(QueueBackend::Calendar),
-                seed,
-            );
-            prop_assert_eq!(&one, &cal, "calendar backend diverged");
             for shards in [2usize, 8] {
                 let cfg_n = cfg.clone().with_shards(shards);
                 let many =
@@ -141,20 +128,6 @@ proptest! {
                     &params, &InitialCondition::Delta, &strategy, &defense, &cfg_n, seed,
                 );
                 prop_assert_eq!(&one_duel, &many_duel, "duel shards = {}", shards);
-                let stolen = run_des_overlay(
-                    &params,
-                    &InitialCondition::Delta,
-                    &strategy,
-                    &cfg_n
-                        .clone()
-                        .with_queue_backend(QueueBackend::Calendar)
-                        .with_work_stealing(skew),
-                    seed,
-                );
-                prop_assert_eq!(
-                    &one, &stolen,
-                    "stealing shards = {} skew = {}", shards, skew
-                );
             }
         }
     }
