@@ -1,11 +1,7 @@
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use pollux_linalg::SolverOptions;
 use pollux_markov::{
     AbsorbingChain, MarkovError, PartitionSolvers, SojournAnalysis, SojournPartition,
 };
-use pollux_obs::Stopwatch;
 
 use crate::{ClusterChain, InitialCondition, ModelParams, StateClass};
 
@@ -77,55 +73,6 @@ pub struct ClusterAnalysis {
     /// The sparse pipeline's shared solver bundle (sojourn, absorption
     /// and hitting all run on it); `None` on the dense pipeline.
     solvers: Option<PartitionSolvers>,
-    /// Per-metric build/solve wall-time aggregate, `Arc`-shared across
-    /// clones like the solver relaxation cache so sweep workers that
-    /// clone an analysis keep feeding one tally.
-    timings: Arc<BatteryObs>,
-}
-
-/// Timing slots of the markov metric battery.
-#[derive(Debug, Clone, Copy)]
-enum BatterySlot {
-    Build = 0,
-    Sojourn = 1,
-    Variance = 2,
-    Pollution = 3,
-    Absorption = 4,
-    Occupancy = 5,
-}
-
-const BATTERY_SLOTS: usize = 6;
-const BATTERY_SLOT_NAMES: [&str; BATTERY_SLOTS] = [
-    "markov.build_s",
-    "markov.sojourn_s",
-    "markov.variance_s",
-    "markov.pollution_s",
-    "markov.absorption_s",
-    "markov.occupancy_s",
-];
-
-/// Wall-time tally behind [`ClusterAnalysis::battery_timings`].
-///
-/// Inert by construction: it only *observes* solves that already ran, so
-/// it can never perturb a result. With the `metrics` feature off,
-/// [`BatteryObs::record`] is a constant no-op and the whole instrument
-/// folds away.
-#[derive(Debug, Default)]
-struct BatteryObs {
-    nanos: [AtomicU64; BATTERY_SLOTS],
-    calls: [AtomicU64; BATTERY_SLOTS],
-}
-
-impl BatteryObs {
-    #[inline]
-    fn record(&self, slot: BatterySlot, seconds: f64) {
-        if !pollux_obs::METRICS_ENABLED {
-            return;
-        }
-        let i = slot as usize;
-        self.nanos[i].fetch_add((seconds.max(0.0) * 1e9) as u64, Ordering::Relaxed);
-        self.calls[i].fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// The absorption-side engine behind a [`ClusterAnalysis`].
@@ -269,8 +216,6 @@ impl ClusterAnalysis {
         mode: AnalysisMode,
     ) -> Result<Self, MarkovError> {
         let sparse = mode == AnalysisMode::Sparse;
-        let timings = Arc::new(BatteryObs::default());
-        let build_watch = Stopwatch::start();
         let alpha = initial.distribution(chain.space())?;
         let partition = SojournPartition::new(
             chain.space().transient_safe().to_vec(),
@@ -292,7 +237,6 @@ impl ClusterAnalysis {
             let absorbing = AbsorptionEngine::Dense(Box::new(AbsorbingChain::new(chain.dtmc())?));
             (sojourn, absorbing, None)
         };
-        timings.record(BatterySlot::Build, build_watch.elapsed_s());
         Ok(ClusterAnalysis {
             chain,
             alpha,
@@ -300,35 +244,7 @@ impl ClusterAnalysis {
             sojourn,
             absorbing,
             solvers,
-            timings,
         })
-    }
-
-    /// Runs `f`, charging its wall time to `slot` when metrics are on.
-    #[inline]
-    fn timed<T>(&self, slot: BatterySlot, f: impl FnOnce() -> T) -> T {
-        let watch = Stopwatch::start();
-        let out = f();
-        self.timings.record(slot, watch.elapsed_s());
-        out
-    }
-
-    /// Per-metric build/solve wall times accumulated by this analysis
-    /// and every clone of it, as `(name, seconds, calls)` triples in a
-    /// fixed slot order. All zeros when the `metrics` cargo feature is
-    /// off — timing collection compiles out entirely.
-    pub fn battery_timings(&self) -> Vec<(&'static str, f64, u64)> {
-        BATTERY_SLOT_NAMES
-            .iter()
-            .enumerate()
-            .map(|(i, &name)| {
-                (
-                    name,
-                    self.timings.nanos[i].load(Ordering::Relaxed) as f64 * 1e-9,
-                    self.timings.calls[i].load(Ordering::Relaxed),
-                )
-            })
-            .collect()
     }
 
     /// `true` when this analysis runs on the sparse pipeline.
@@ -363,7 +279,7 @@ impl ClusterAnalysis {
     ///
     /// Propagates linear-algebra failures.
     pub fn expected_safe_events(&self) -> Result<f64, MarkovError> {
-        self.timed(BatterySlot::Sojourn, || self.sojourn.expected_total_s())
+        self.sojourn.expected_total_s()
     }
 
     /// `E(T_P)` — expected number of events spent in polluted transient
@@ -373,7 +289,7 @@ impl ClusterAnalysis {
     ///
     /// Propagates linear-algebra failures.
     pub fn expected_polluted_events(&self) -> Result<f64, MarkovError> {
-        self.timed(BatterySlot::Sojourn, || self.sojourn.expected_total_p())
+        self.sojourn.expected_total_p()
     }
 
     /// Expected number of events until absorption (equals
@@ -383,10 +299,10 @@ impl ClusterAnalysis {
     ///
     /// Propagates distribution validation failures.
     pub fn expected_absorption_events(&self) -> Result<f64, MarkovError> {
-        self.timed(BatterySlot::Absorption, || match &self.absorbing {
+        match &self.absorbing {
             AbsorptionEngine::Dense(abs) => abs.expected_steps(&self.alpha),
             AbsorptionEngine::Sparse(abs) => Ok(abs.expected_steps),
-        })
+        }
     }
 
     /// `E(T_{S,n})` for `n = 1..=count` (Relation 7).
@@ -416,7 +332,7 @@ impl ClusterAnalysis {
     ///
     /// Propagates linear-algebra failures.
     pub fn variance_safe_events(&self) -> Result<f64, MarkovError> {
-        self.timed(BatterySlot::Variance, || self.sojourn.variance_s())
+        self.sojourn.variance_s()
     }
 
     /// Variance of `T_P`.
@@ -425,7 +341,7 @@ impl ClusterAnalysis {
     ///
     /// Propagates linear-algebra failures.
     pub fn variance_polluted_events(&self) -> Result<f64, MarkovError> {
-        self.timed(BatterySlot::Variance, || self.sojourn.variance_p())
+        self.sojourn.variance_p()
     }
 
     /// Probability that the cluster is **ever** polluted during its
@@ -441,10 +357,6 @@ impl ClusterAnalysis {
     ///
     /// Propagates linear-algebra failures.
     pub fn pollution_probability(&self) -> Result<f64, MarkovError> {
-        self.timed(BatterySlot::Pollution, || self.pollution_probability_impl())
-    }
-
-    fn pollution_probability_impl(&self) -> Result<f64, MarkovError> {
         let space = self.chain.space();
         if let Some(solvers) = &self.solvers {
             // Hitting mass on the shared S-block solver: a trajectory
@@ -513,15 +425,6 @@ impl ClusterAnalysis {
         &self,
         sample_points: &[u64],
     ) -> Result<Vec<(u64, f64, f64)>, MarkovError> {
-        self.timed(BatterySlot::Occupancy, || {
-            self.occupancy_series_impl(sample_points)
-        })
-    }
-
-    fn occupancy_series_impl(
-        &self,
-        sample_points: &[u64],
-    ) -> Result<Vec<(u64, f64, f64)>, MarkovError> {
         if sample_points.windows(2).any(|w| w[0] > w[1]) {
             return Err(MarkovError::InvalidPartition(
                 "sample points must be sorted increasing".into(),
@@ -582,10 +485,6 @@ impl ClusterAnalysis {
     ///
     /// Propagates distribution validation failures.
     pub fn absorption_split(&self) -> Result<AbsorptionSplit, MarkovError> {
-        self.timed(BatterySlot::Absorption, || self.absorption_split_impl())
-    }
-
-    fn absorption_split_impl(&self) -> Result<AbsorptionSplit, MarkovError> {
         let abs = match &self.absorbing {
             AbsorptionEngine::Sparse(sparse) => return Ok(sparse.split),
             AbsorptionEngine::Dense(abs) => abs,
@@ -642,44 +541,6 @@ mod tests {
         assert_eq!(split.polluted_merge, 0.0);
         assert_eq!(split.polluted_split, 0.0);
         assert!((split.total() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn battery_timings_populate_iff_metrics_enabled_and_stay_inert() {
-        let a = analysis(0.2, 0.8, 1, InitialCondition::Delta);
-        let ts = a.expected_safe_events().unwrap();
-        a.variance_safe_events().unwrap();
-        a.pollution_probability().unwrap();
-        a.absorption_split().unwrap();
-        a.occupancy_series(&[0, 4]).unwrap();
-        a.expected_absorption_events().unwrap();
-
-        let timings = a.battery_timings();
-        assert_eq!(timings.len(), BATTERY_SLOTS);
-        if pollux_obs::METRICS_ENABLED {
-            // Build plus every exercised metric slot tallied its calls.
-            assert!(
-                timings.iter().all(|&(_, _, calls)| calls > 0),
-                "{timings:?}"
-            );
-        } else {
-            assert!(
-                timings.iter().all(|&(_, s, calls)| s == 0.0 && calls == 0),
-                "{timings:?}"
-            );
-        }
-
-        // Clones feed the same Arc-shared tally, and observation never
-        // perturbs the metric values themselves.
-        let clone = a.clone();
-        assert_eq!(clone.expected_safe_events().unwrap(), ts);
-        let sojourn_calls = |t: &[(&str, f64, u64)]| t[BatterySlot::Sojourn as usize].2;
-        if pollux_obs::METRICS_ENABLED {
-            assert_eq!(
-                sojourn_calls(&a.battery_timings()),
-                sojourn_calls(&clone.battery_timings())
-            );
-        }
     }
 
     #[test]

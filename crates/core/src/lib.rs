@@ -38,8 +38,10 @@
 //!   ([`ClusterChain::build_with_defense`]) and the DES event loop, and
 //!   [`duel::run_duel`] compares the two steady-state pollution
 //!   estimates inside a renewal-adjusted Wilson interval.
-//! * [`experiments`] — canned parameterizations reproducing every table
-//!   and figure of the paper's evaluation.
+//!
+//! The paper's tables and figures are scenarios of `pollux_sweep::registry`,
+//! which holds their grids and evaluates every cell through
+//! [`ClusterAnalysis`] and [`OverlayModel`].
 //!
 //! # Quickstart
 //!
@@ -60,7 +62,6 @@
 mod analysis;
 pub mod des_overlay;
 pub mod duel;
-pub mod experiments;
 mod initial;
 mod overlay_analysis;
 pub mod overlay_sim;

@@ -18,8 +18,9 @@
 //!   `α (T/n + (1−1/n) I)^m` (a binomial mixture of pushes through `T`).
 //! * [`solver::TransientSolver`] — the sparse-first solver for
 //!   `(I − Q) x = b` systems: dense LU below a size crossover
-//!   (bit-stable for the paper-scale chains), deterministic SOR sweeps
-//!   in O(nnz) per iteration above it, with batched and transposed
+//!   (bit-stable for the paper-scale chains) and above it BiCGSTAB in
+//!   O(nnz) per iteration, falling back to adaptive SOR and then plain
+//!   Gauss–Seidel, all deterministic, with batched and transposed
 //!   solves. This is what lets the analytical pipeline reach 10⁴–10⁵
 //!   state spaces.
 //! * [`power`] — matrix powers and iterated distribution pushes.
@@ -52,8 +53,7 @@ pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use solver::{
-    IterStats, KrylovBreakdown, SolverObsSnapshot, SolverOptions, TransientSolver,
-    DEFAULT_SPARSE_CROSSOVER,
+    IterStats, KrylovBreakdown, SolverOptions, TransientSolver, DEFAULT_SPARSE_CROSSOVER,
 };
 
 /// Default absolute tolerance used by the stochasticity checks.

@@ -57,25 +57,27 @@ use crate::{LinalgError, Lu, Matrix};
 /// own evaluation (≤ ~1000 states) stays on the bit-stable dense path.
 pub const DEFAULT_SPARSE_CROSSOVER: usize = 1024;
 
+/// Relative residual tolerance of the iterative path.
+const TOL: f64 = 1e-13;
+
+/// Sweep budget of the iterative path (per right-hand side).
+const MAX_SWEEPS: usize = 200_000;
+
 /// Tuning knobs for [`TransientSolver`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
     /// Systems smaller than this are solved by dense LU.
     pub crossover: usize,
-    /// Relative residual tolerance of the iterative path.
-    pub tol: f64,
-    /// Sweep budget of the iterative path (per right-hand side).
-    pub max_sweeps: usize,
     /// Apply a Jacobi (diagonal) preconditioner to the BiCGSTAB path:
     /// the Krylov recurrences run on the right-preconditioned system
     /// `A D⁻¹ z = b` with `D = diag(A)`, which rescales the
-    /// strongly-self-looping rows of large cluster chains and cuts the
-    /// iteration count on the Δ ≳ 100 state spaces (measured in
-    /// `BENCH_markov.json`). Off by default: the paper-scale pipeline
-    /// sits below the dense crossover anyway, and the unpreconditioned
-    /// recurrence is the historical bit-exact reference. Only the
-    /// iterative path ever consults this — the dense-LU side of the
-    /// crossover is unaffected.
+    /// strongly-self-looping rows of large cluster chains. On the
+    /// Δ = 100 cluster chain (40 392 transient states) it does not pay:
+    /// `BENCH_markov.json` records 402 forward iterations and 28.0 s
+    /// unpreconditioned against 430 iterations and 30.6 s with it
+    /// (0.92×). Off by default; the unpreconditioned recurrence is the
+    /// historical bit-exact reference. Only the iterative path ever
+    /// consults this — the dense-LU side of the crossover is unaffected.
     pub jacobi: bool,
 }
 
@@ -83,8 +85,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
             crossover: DEFAULT_SPARSE_CROSSOVER,
-            tol: 1e-13,
-            max_sweeps: 200_000,
             jacobi: false,
         }
     }
@@ -166,16 +166,11 @@ enum Repr {
 pub struct TransientSolver {
     n: usize,
     repr: Repr,
-    tol: f64,
-    max_sweeps: usize,
     jacobi: bool,
     /// Fault-injection hook: when set, the iterative path skips BiCGSTAB
     /// with a synthetic breakdown so the SOR fallback ladder (and its
     /// reporting) can be exercised deterministically.
     force_krylov_breakdown: bool,
-    /// Cumulative routing/iteration counters, shared across clones (like
-    /// the relaxation cache) so batched analyses aggregate naturally.
-    obs: Arc<SolverObs>,
 }
 
 impl TransientSolver {
@@ -241,11 +236,8 @@ impl TransientSolver {
         Ok(TransientSolver {
             n,
             repr,
-            tol: options.tol,
-            max_sweeps: options.max_sweeps,
             jacobi: options.jacobi,
             force_krylov_breakdown: false,
-            obs: Arc::new(SolverObs::new()),
         })
     }
 
@@ -266,11 +258,8 @@ impl TransientSolver {
         Ok(TransientSolver {
             n,
             repr,
-            tol: SolverOptions::default().tol,
-            max_sweeps: SolverOptions::default().max_sweeps,
             jacobi: false,
             force_krylov_breakdown: false,
-            obs: Arc::new(SolverObs::new()),
         })
     }
 
@@ -295,29 +284,6 @@ impl TransientSolver {
     #[must_use]
     pub fn is_iterative(&self) -> bool {
         matches!(self.repr, Repr::Iterative { .. })
-    }
-
-    /// A snapshot of the solver's cumulative routing and iteration
-    /// counters (shared across clones, so a batched analysis reads one
-    /// aggregate). Observation only — the counters never influence how
-    /// the solver routes or converges.
-    #[must_use]
-    pub fn obs_snapshot(&self) -> SolverObsSnapshot {
-        SolverObsSnapshot {
-            dense_solves: self.obs.dense_solves.load(Ordering::Relaxed),
-            krylov_solves: self.obs.krylov_solves.load(Ordering::Relaxed),
-            sor_solves: self.obs.sor_solves.load(Ordering::Relaxed),
-            sor_fallbacks: self.obs.sor_fallbacks.load(Ordering::Relaxed),
-            gs_fallbacks: self.obs.gs_fallbacks.load(Ordering::Relaxed),
-            total_iterations: self.obs.total_iterations.load(Ordering::Relaxed),
-            worst_residual: f64::from_bits(self.obs.worst_residual.load(Ordering::Relaxed)),
-            krylov_failure_iterations: self.obs.krylov_failure_iterations.load(Ordering::Relaxed),
-            krylov_failure_worst_residual: f64::from_bits(
-                self.obs
-                    .krylov_failure_worst_residual
-                    .load(Ordering::Relaxed),
-            ),
-        }
     }
 
     /// Solves `(I − Q) x = b`.
@@ -383,7 +349,6 @@ impl TransientSolver {
                 } else {
                     lu.solve(b)?
                 };
-                self.obs.note_dense();
                 Ok((x, None))
             }
             Repr::Iterative {
@@ -406,37 +371,17 @@ impl TransientSolver {
                 };
                 // When BiCGSTAB fails, keep *why* (not just that it did):
                 // the breakdown rides along into the returned stats so
-                // callers see the reason machine-readably instead of on a
-                // debug-only stderr line.
+                // callers see the reason machine-readably.
                 let mut breakdown = None;
-                let result = match krylov {
-                    Ok(out) => {
-                        self.obs.note_krylov();
-                        Ok(out)
+                let result = krylov.or_else(|e| {
+                    if let LinalgError::NoConvergence { sweeps, residual } = e {
+                        breakdown = Some(KrylovBreakdown { sweeps, residual });
                     }
-                    Err(e) => {
-                        if let LinalgError::NoConvergence { sweeps, residual } = &e {
-                            breakdown = Some(KrylovBreakdown {
-                                sweeps: *sweeps,
-                                residual: *residual,
-                            });
-                            self.obs.note_krylov_failure(*sweeps as u64, *residual);
-                        }
-                        if std::env::var_os("POLLUX_SOLVER_DEBUG").is_some() {
-                            eprintln!("bicgstab fallback: {e}");
-                        }
-                        self.obs.note_sor_fallback();
-                        self.sor(m, diag, b, Some(omega_cache))
-                            .inspect(|_| self.obs.note_sor())
-                            .or_else(|_| {
-                                self.obs.note_gs_fallback();
-                                self.sor(m, diag, b, None).inspect(|_| self.obs.note_sor())
-                            })
-                    }
-                };
+                    self.sor(m, diag, b, Some(omega_cache))
+                        .or_else(|_| self.sor(m, diag, b, None))
+                });
                 result.map(|(x, mut stats)| {
                     stats.krylov_failure = breakdown;
-                    self.obs.note_stats(stats.sweeps as u64, stats.residual);
                     (x, Some(stats))
                 })
             }
@@ -466,7 +411,7 @@ impl TransientSolver {
     ) -> Result<(Vec<f64>, IterStats), LinalgError> {
         let n = self.n;
         let b_scale = b.iter().fold(1.0f64, |acc, &v| acc.max(v.abs()));
-        let max_iters = (self.max_sweeps / 8).max(64);
+        let max_iters = (MAX_SWEEPS / 8).max(64);
 
         // (A y)_i = diag_i·y_i − Σ_{j≠i} M_ij y_j, A = I − M.
         let apply = |y: &[f64], out: &mut [f64]| {
@@ -599,11 +544,11 @@ impl TransientSolver {
                 restart!();
             }
             let x_scale = inf_norm(&x).max(1.0);
-            if r_norm <= self.tol * b_scale.max(x_scale) {
+            if r_norm <= TOL * b_scale.max(x_scale) {
                 // The recursive residual can drift from the true one;
                 // verify, and resync if it has.
                 let residual = residual_inf(m, diag, &x, b);
-                if residual <= 10.0 * self.tol * b_scale.max(x_scale) {
+                if residual <= 10.0 * TOL * b_scale.max(x_scale) {
                     return Ok((
                         x,
                         IterStats {
@@ -653,7 +598,7 @@ impl TransientSolver {
         let mut sweeps = 0usize;
         let mut residual = f64::INFINITY;
         let mut window_start_delta = f64::NAN;
-        while sweeps < self.max_sweeps {
+        while sweeps < MAX_SWEEPS {
             let mut delta = 0.0f64;
             for i in 0..n {
                 let mut acc = b[i];
@@ -679,9 +624,9 @@ impl TransientSolver {
                 window_start_delta = f64::NAN;
                 continue;
             }
-            if delta <= self.tol * x_scale {
+            if delta <= TOL * x_scale {
                 residual = residual_inf(m, diag, &x, b);
-                if residual <= 10.0 * self.tol * b_scale.max(x_scale) {
+                if residual <= 10.0 * TOL * b_scale.max(x_scale) {
                     if let Some(c) = cache {
                         c.store(omega, omega_cap);
                     }
@@ -719,114 +664,6 @@ impl TransientSolver {
             }
         }
         Err(LinalgError::NoConvergence { sweeps, residual })
-    }
-}
-
-/// Cumulative observation counters of a [`TransientSolver`]: which path
-/// produced each solution (LU routing vs Krylov vs SOR), how often the
-/// fallback ladder was descended, total iterations and the worst
-/// verified residual. Shared across clones via `Arc` (the
-/// [`OmegaCache`] pattern), updated with a handful of relaxed atomics
-/// per *solve* — never per iteration — so the cost is unconditionally
-/// negligible and needs no feature gate. Purely observational: counters
-/// never influence routing, tolerances or iteration counts.
-#[derive(Debug, Default)]
-struct SolverObs {
-    dense_solves: AtomicU64,
-    krylov_solves: AtomicU64,
-    sor_solves: AtomicU64,
-    sor_fallbacks: AtomicU64,
-    gs_fallbacks: AtomicU64,
-    total_iterations: AtomicU64,
-    /// Monotonic max, stored as f64 bits (non-negative residuals order
-    /// identically as bits).
-    worst_residual: AtomicU64,
-    /// Krylov iterations spent inside failed BiCGSTAB attempts (wasted
-    /// work the fallback ladder then redid).
-    krylov_failure_iterations: AtomicU64,
-    /// Worst residual a failed BiCGSTAB attempt gave up at (f64 bits,
-    /// monotonic max like `worst_residual`).
-    krylov_failure_worst_residual: AtomicU64,
-}
-
-impl SolverObs {
-    fn new() -> Self {
-        SolverObs::default()
-    }
-
-    fn note_dense(&self) {
-        self.dense_solves.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_krylov(&self) {
-        self.krylov_solves.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_sor(&self) {
-        self.sor_solves.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_sor_fallback(&self) {
-        self.sor_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_gs_fallback(&self) {
-        self.gs_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_krylov_failure(&self, sweeps: u64, residual: f64) {
-        self.krylov_failure_iterations
-            .fetch_add(sweeps, Ordering::Relaxed);
-        // NaN (a breakdown can give up before any finite residual) maps
-        // to 0 under `max`, same as `note_stats`.
-        self.krylov_failure_worst_residual
-            .fetch_max(residual.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-
-    fn note_stats(&self, sweeps: u64, residual: f64) {
-        self.total_iterations.fetch_add(sweeps, Ordering::Relaxed);
-        // Residuals are non-negative, so their bit patterns order like
-        // the values and fetch_max needs no CAS loop.
-        self.worst_residual
-            .fetch_max(residual.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of a solver's cumulative observation counters
-/// (see [`TransientSolver::obs_snapshot`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SolverObsSnapshot {
-    /// Solves answered by the dense LU path.
-    pub dense_solves: u64,
-    /// Solves answered by BiCGSTAB.
-    pub krylov_solves: u64,
-    /// Solves answered by (adaptive) SOR after a fallback.
-    pub sor_solves: u64,
-    /// Times BiCGSTAB failed and the cached-relaxation SOR ran.
-    pub sor_fallbacks: u64,
-    /// Times the cached SOR also failed and the from-scratch sweep
-    /// (starting at the Gauss–Seidel factor ω = 1) ran.
-    pub gs_fallbacks: u64,
-    /// Total iterations over all iterative solves (Krylov iterations
-    /// plus SOR sweeps).
-    pub total_iterations: u64,
-    /// Worst verified residual ∞-norm over all iterative solves.
-    pub worst_residual: f64,
-    /// Krylov iterations spent inside BiCGSTAB attempts that then failed
-    /// over to the stationary ladder — wasted work, kept separate from
-    /// [`SolverObsSnapshot::total_iterations`] (which only counts the
-    /// attempts that produced the solution).
-    pub krylov_failure_iterations: u64,
-    /// Worst residual a failed BiCGSTAB attempt gave up at (`0.0` when
-    /// no attempt ever failed).
-    pub krylov_failure_worst_residual: f64,
-}
-
-impl SolverObsSnapshot {
-    /// Total solves this solver answered, over all paths.
-    #[must_use]
-    pub fn total_solves(&self) -> u64 {
-        self.dense_solves + self.krylov_solves + self.sor_solves
     }
 }
 
@@ -900,8 +737,7 @@ fn residual_inf(m: &CsrMatrix, diag: &[f64], x: &[f64], b: &[f64]) -> f64 {
 /// Why a BiCGSTAB attempt gave up: the iterations it burned and the
 /// residual it was stuck at when the solver descended to the stationary
 /// fallback ladder. Carried on [`IterStats::krylov_failure`] so callers
-/// get the reason machine-readably rather than on a debug-only stderr
-/// line.
+/// get the reason machine-readably.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KrylovBreakdown {
     /// Krylov iterations performed before abandoning the method.
@@ -948,38 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_counters_track_routing_without_changing_results() {
-        let q = ruin_block(50, 0.5);
-        let ones = vec![1.0; 50];
-        let dense = TransientSolver::new(&q, SolverOptions::force_dense()).unwrap();
-        let sparse = TransientSolver::new(&q, SolverOptions::force_sparse()).unwrap();
-        assert_eq!(dense.obs_snapshot(), SolverObsSnapshot::default());
-
-        let xd = dense.solve(&ones).unwrap();
-        let snap = dense.obs_snapshot();
-        assert_eq!(snap.dense_solves, 1);
-        assert_eq!(snap.total_solves(), 1);
-        assert_eq!(snap.total_iterations, 0);
-
-        let xs = sparse.solve(&ones).unwrap();
-        let _ = sparse.solve_transposed(&ones).unwrap();
-        let snap = sparse.obs_snapshot();
-        assert_eq!(snap.dense_solves, 0);
-        assert_eq!(snap.krylov_solves + snap.sor_solves, 2);
-        assert!(snap.total_iterations > 0);
-        assert!(snap.worst_residual >= 0.0 && snap.worst_residual < 1e-8);
-
-        // Clones share the counters (one aggregate per logical solver)…
-        let clone = sparse.clone();
-        let _ = clone.solve(&ones).unwrap();
-        assert_eq!(sparse.obs_snapshot().total_solves(), 3);
-        // …and observation never perturbs the numerics.
-        for (a, b) in xd.iter().zip(xs.iter()) {
-            assert!((a - b).abs() < 1e-8);
-        }
-    }
-
-    #[test]
     fn forced_krylov_breakdown_descends_the_ladder_and_records_why() {
         let q = ruin_block(60, 0.5);
         let ones = vec![1.0; 60];
@@ -1003,17 +807,6 @@ mod tests {
         assert!(!stats.omega.is_nan(), "solution came from SOR, not Krylov");
         // A solve BiCGSTAB answered itself records no failure.
         assert!(sh.expect("stats").krylov_failure.is_none());
-
-        let snap = broken.obs_snapshot();
-        assert_eq!(snap.krylov_solves, 0);
-        assert_eq!(snap.sor_solves, 1);
-        assert_eq!(snap.sor_fallbacks, 1);
-        assert_eq!(snap.gs_fallbacks, 0);
-        assert_eq!(snap.krylov_failure_iterations, 0);
-        assert!(snap.krylov_failure_worst_residual.is_infinite());
-        let honest_snap = honest.obs_snapshot();
-        assert_eq!(honest_snap.krylov_failure_iterations, 0);
-        assert_eq!(honest_snap.krylov_failure_worst_residual, 0.0);
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! the expected pollution time, because a tiny `E(T_P)` could hide either
 //! rare-but-long or frequent-but-short pollution episodes.
 
-use pollux_linalg::sparse::CsrMatrix;
-use pollux_linalg::{Lu, Matrix, SolverOptions, TransientSolver};
+use pollux_linalg::{Lu, Matrix};
 
-use crate::{Dtmc, MarkovError, SparseDtmc};
+use crate::{Dtmc, MarkovError};
 
 /// Computes `h[i] = P(the chain started at i ever visits `targets`)` for
 /// every state.
@@ -110,108 +109,6 @@ pub fn hitting_probability_from(
     Ok(alpha.iter().zip(h.iter()).map(|(a, p)| a * p).sum())
 }
 
-/// Sparse counterpart of [`hitting_probabilities`]: reverse reachability
-/// runs over the transposed CSR adjacency (O(nnz) instead of the dense
-/// O(n²) scan) and the first-step system goes through the crossover-aware
-/// [`TransientSolver`].
-///
-/// # Errors
-///
-/// As [`hitting_probabilities`], plus [`MarkovError::Linalg`] carrying
-/// [`pollux_linalg::LinalgError::NoConvergence`] if an iterative solve
-/// exhausts its budget.
-pub fn hitting_probabilities_sparse(
-    chain: &SparseDtmc,
-    targets: &[usize],
-    options: SolverOptions,
-) -> Result<Vec<f64>, MarkovError> {
-    let n = chain.n_states();
-    if targets.is_empty() {
-        return Err(MarkovError::InvalidPartition(
-            "target set must be non-empty".into(),
-        ));
-    }
-    let mut is_target = vec![false; n];
-    for &t in targets {
-        if t >= n {
-            return Err(MarkovError::InvalidState {
-                index: t,
-                states: n,
-            });
-        }
-        is_target[t] = true;
-    }
-
-    // Reverse reachability over the transposed adjacency: row j of the
-    // transpose lists the predecessors of j.
-    let transpose = chain.matrix().transpose();
-    let mut can_reach = is_target.clone();
-    let mut stack: Vec<usize> = targets.to_vec();
-    while let Some(j) = stack.pop() {
-        for (i, v) in transpose.row_entries(j) {
-            if v > 0.0 && !can_reach[i] {
-                can_reach[i] = true;
-                stack.push(i);
-            }
-        }
-    }
-
-    let unknowns: Vec<usize> = (0..n).filter(|&i| can_reach[i] && !is_target[i]).collect();
-    let mut h = vec![0.0; n];
-    for &t in targets {
-        h[t] = 1.0;
-    }
-    if unknowns.is_empty() {
-        return Ok(h);
-    }
-    let m = unknowns.len();
-    let mut pos = vec![usize::MAX; n];
-    for (p, &i) in unknowns.iter().enumerate() {
-        pos[i] = p;
-    }
-    // (I − Q) h_u = r with Q the unknown-to-unknown block and
-    // r[i] = P(i → targets).
-    let mut q_triplets = Vec::new();
-    let mut r = vec![0.0; m];
-    for (p, &i) in unknowns.iter().enumerate() {
-        for (j, pij) in chain.successors(i) {
-            if pij == 0.0 {
-                continue;
-            }
-            if is_target[j] {
-                r[p] += pij;
-            } else if pos[j] != usize::MAX {
-                q_triplets.push((p, pos[j], pij));
-            }
-        }
-    }
-    let q = CsrMatrix::from_triplet_vec(m, m, q_triplets)
-        .expect("unknown-block indices are in range by construction");
-    let solver = TransientSolver::new(&q, options)?;
-    let solution = solver.solve(&r)?;
-    for (p, &i) in unknowns.iter().enumerate() {
-        h[i] = solution[p].clamp(0.0, 1.0);
-    }
-    Ok(h)
-}
-
-/// Sparse counterpart of [`hitting_probability_from`].
-///
-/// # Errors
-///
-/// Propagates [`hitting_probabilities_sparse`] failures and distribution
-/// validation.
-pub fn hitting_probability_from_sparse(
-    chain: &SparseDtmc,
-    alpha: &[f64],
-    targets: &[usize],
-    options: SolverOptions,
-) -> Result<f64, MarkovError> {
-    chain.check_distribution(alpha)?;
-    let h = hitting_probabilities_sparse(chain, targets, options)?;
-    Ok(alpha.iter().zip(h.iter()).map(|(a, p)| a * p).sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,30 +170,6 @@ mod tests {
         assert!(hitting_probabilities(&chain, &[]).is_err());
         assert!(hitting_probabilities(&chain, &[9]).is_err());
         assert!(hitting_probability_from(&chain, &[1.0], &[0]).is_err());
-    }
-
-    #[test]
-    fn sparse_hitting_agrees_with_dense() {
-        let chain = gamblers_ruin();
-        let sparse = SparseDtmc::from_dense(&chain);
-        for targets in [vec![4usize], vec![2], vec![0, 4]] {
-            let dense_h = hitting_probabilities(&chain, &targets).unwrap();
-            for options in [SolverOptions::force_dense(), SolverOptions::force_sparse()] {
-                let sparse_h = hitting_probabilities_sparse(&sparse, &targets, options).unwrap();
-                for (a, b) in dense_h.iter().zip(sparse_h.iter()) {
-                    assert!((a - b).abs() < 1e-10, "targets {targets:?}: {a} vs {b}");
-                }
-            }
-        }
-        let alpha = [0.0, 0.5, 0.0, 0.5, 0.0];
-        let a = hitting_probability_from(&chain, &alpha, &[4]).unwrap();
-        let b =
-            hitting_probability_from_sparse(&sparse, &alpha, &[4], SolverOptions::force_sparse())
-                .unwrap();
-        assert!((a - b).abs() < 1e-10);
-        // Validation mirrors the dense entry point.
-        assert!(hitting_probabilities_sparse(&sparse, &[], SolverOptions::default()).is_err());
-        assert!(hitting_probabilities_sparse(&sparse, &[9], SolverOptions::default()).is_err());
     }
 
     #[test]

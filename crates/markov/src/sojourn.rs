@@ -59,7 +59,6 @@ impl SojournPartition {
 /// Index sets are stored sorted ascending (the CSR block order).
 #[derive(Debug, Clone)]
 pub struct PartitionSolvers {
-    options: SolverOptions,
     t_idx: Vec<usize>,
     s_idx: Vec<usize>,
     p_idx: Vec<usize>,
@@ -113,7 +112,6 @@ impl PartitionSolvers {
         let solver_s = Arc::new(TransientSolver::new(&m_s, options)?);
         let solver_p = Arc::new(TransientSolver::new(&m_p, options)?);
         Ok(PartitionSolvers {
-            options,
             t_idx,
             s_idx,
             p_idx,
@@ -125,11 +123,6 @@ impl PartitionSolvers {
             m_ps,
             m_p,
         })
-    }
-
-    /// The options the solvers were built with.
-    pub fn options(&self) -> SolverOptions {
-        self.options
     }
 
     /// Sorted global indices of `T = S ∪ P`.
@@ -334,7 +327,7 @@ impl SojournAnalysis {
     /// the censored matrices `R` and `G`: every quantity is evaluated in
     /// operator form through CSR blocks and the crossover-aware
     /// [`TransientSolver`] (dense LU below `options.crossover` unknowns,
-    /// SOR sweeps in O(nnz) above).
+    /// BiCGSTAB with SOR fallbacks in O(nnz) per iteration above).
     ///
     /// The totals and variances use the full-transient-block identities
     ///
@@ -1002,7 +995,6 @@ mod tests {
             assert_eq!(solvers.t_indices(), &[1, 2, 3]);
             assert_eq!(solvers.s_indices(), &[1]);
             assert_eq!(solvers.p_indices(), &[2, 3]);
-            assert_eq!(solvers.options(), options);
             let shared =
                 SojournAnalysis::new_sparse_shared(&sparse_chain, &alpha, &solvers).unwrap();
             // Bit-identical: the same blocks go through the same solves.

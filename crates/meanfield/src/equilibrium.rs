@@ -115,11 +115,9 @@ impl FluidModel {
                 return Ok(None);
             }
             iterations += 1;
-            self.obs().newton_iteration();
 
             let jac = self.constrained_jacobian(&pi);
             let lu = Lu::decompose(&jac)?;
-            self.obs().newton_solve();
             let neg_f: Vec<f64> = f.iter().map(|v| -v).collect();
             let delta = lu.solve(&neg_f)?;
 
@@ -162,7 +160,6 @@ impl FluidModel {
         let mu_eff = self.mu_eff(&pi);
         let (safe_fraction, polluted_fraction) = self.fractions(&pi);
         let residual = residual_at_mu(self, &pi, mu_eff);
-        self.obs().equilibrium_solve();
         Ok(Some(Equilibrium {
             pi,
             mu_eff,

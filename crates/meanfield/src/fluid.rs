@@ -43,12 +43,10 @@
 //! and `C₁`, and every later μ evaluation is a fused multiply-add.
 
 use crate::error::MeanFieldError;
-use crate::obs::{MeanFieldObs, MeanFieldObsSnapshot};
 use pollux::{ClusterChain, InitialCondition, ModelParams, ModelSpace};
 use pollux_defense::{Defense, NullDefense};
 use pollux_linalg::sparse::CsrMatrix;
 use pollux_linalg::{SolverOptions, TransientSolver};
-use std::sync::Arc;
 
 /// Hard ceiling on the amplified malicious-join probability. The model
 /// caps `μ_eff` strictly below 1 so the join branch never degenerates
@@ -134,7 +132,6 @@ pub struct FluidModel {
     rate: f64,
     coupling: Coupling,
     solver_options: SolverOptions,
-    obs: Arc<MeanFieldObs>,
 }
 
 impl FluidModel {
@@ -236,7 +233,6 @@ impl FluidModel {
             rate: 1.0,
             coupling: Coupling::Open,
             solver_options: SolverOptions::default(),
-            obs: Arc::new(MeanFieldObs::new()),
         })
     }
 
@@ -314,24 +310,6 @@ impl FluidModel {
         &self.alpha
     }
 
-    /// A point-in-time copy of the model's work counters (all zero
-    /// unless the `metrics` cargo feature is enabled).
-    #[must_use]
-    pub fn obs_snapshot(&self) -> MeanFieldObsSnapshot {
-        self.obs.snapshot()
-    }
-
-    pub(crate) fn obs(&self) -> &MeanFieldObs {
-        &self.obs
-    }
-
-    /// Replaces the model's instrument with a shared one so counters
-    /// aggregate across a family of probe models (tuning bisection).
-    pub(crate) fn sharing_obs(mut self, obs: Arc<MeanFieldObs>) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// The effective malicious-join probability induced by state `pi`.
     #[must_use]
     pub fn mu_eff(&self, pi: &[f64]) -> f64 {
@@ -407,7 +385,6 @@ impl FluidModel {
         for (o, &p) in out.iter_mut().zip(pi) {
             *o = self.rate * (*o - p);
         }
-        self.obs.rhs_evals(1);
     }
 
     /// `‖π·P_regen(μ_eff(π)) − π‖∞`: how far `pi` is from stationarity
@@ -497,7 +474,6 @@ impl FluidModel {
 
         let (safe_fraction, polluted_fraction) = self.fractions(&pi);
         let residual = residual_at_mu(self, &pi, mu);
-        self.obs.equilibrium_solve();
         Ok(Equilibrium {
             pi,
             mu_eff: mu,

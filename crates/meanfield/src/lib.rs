@@ -63,7 +63,6 @@ pub mod eig;
 pub mod equilibrium;
 mod error;
 pub mod fluid;
-mod obs;
 pub mod ode;
 pub mod stability;
 pub mod tuning;
@@ -72,7 +71,6 @@ pub mod whatif;
 pub use eig::{eigenvalues, Complex};
 pub use error::MeanFieldError;
 pub use fluid::{Coupling, Equilibrium, EquilibriumMethod, FluidModel, MU_EFF_CAP};
-pub use obs::{MeanFieldObs, MeanFieldObsSnapshot};
 pub use ode::{bs32_adaptive, rk4_fixed, AdaptiveOptions, OdeRun};
 pub use stability::{Stability, StabilityReport};
 pub use tuning::{tune_induced_churn, TuningConfig, TuningOutcome};

@@ -224,9 +224,7 @@ impl FluidModel {
     /// As [`rk4_fixed`]; additionally if `pi0` has the wrong dimension.
     #[must_use]
     pub fn integrate_fixed(&self, pi0: &[f64], t_end: f64, steps: u64) -> OdeRun {
-        let run = rk4_fixed(|y, out| self.rhs_into(y, out), pi0, t_end, steps);
-        self.obs().ode_steps(run.steps, 0);
-        run
+        rk4_fixed(|y, out| self.rhs_into(y, out), pi0, t_end, steps)
     }
 
     /// Integrates the fluid ODE adaptively (Bogacki–Shampine 3(2)).
@@ -240,9 +238,7 @@ impl FluidModel {
         t_end: f64,
         opts: &AdaptiveOptions,
     ) -> Result<OdeRun, MeanFieldError> {
-        let run = bs32_adaptive(|y, out| self.rhs_into(y, out), pi0, t_end, opts)?;
-        self.obs().ode_steps(run.steps, run.rejected);
-        Ok(run)
+        bs32_adaptive(|y, out| self.rhs_into(y, out), pi0, t_end, opts)
     }
 }
 

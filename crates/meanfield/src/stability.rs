@@ -73,7 +73,6 @@ impl FluidModel {
         let mut jac = self.coupled_embedded_jacobian(&eq.pi);
         scale_in_place(&mut jac, self.rate());
         let eigs = eigenvalues(&jac)?;
-        self.obs().eig_solve();
 
         // Drop the structural zero mode (mass conservation).
         let structural_idx = eigs
@@ -152,7 +151,7 @@ impl FluidModel {
         // z is re-normalized every step, so each post-apply norm is a
         // per-step growth factor.
         let mut log_norms = Vec::with_capacity(iterations as usize);
-        for it in 0..iterations {
+        for _ in 0..iterations {
             // z ← z·(P+I)/2, deflating the conserved-mass direction.
             self.apply_embedded_at_mu(&z, mu, &mut out);
             for (o, &zi) in out.iter_mut().zip(&z) {
@@ -169,13 +168,11 @@ impl FluidModel {
             if norm < 1e-280 {
                 // Perturbation fully decayed: the gap is at least the
                 // rate itself.
-                self.obs().power_iterations(u64::from(it + 1));
                 return self.rate();
             }
             normalize(&mut z);
             log_norms.push(norm.ln());
         }
-        self.obs().power_iterations(u64::from(iterations));
 
         // Raw estimate: geometric mean over the second half.
         let half = log_norms.len() / 2;

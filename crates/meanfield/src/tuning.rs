@@ -20,10 +20,8 @@
 
 use crate::error::MeanFieldError;
 use crate::fluid::FluidModel;
-use crate::obs::{MeanFieldObs, MeanFieldObsSnapshot};
 use pollux::{ClusterAnalysis, ClusterChain, InitialCondition, ModelParams};
 use pollux_defense::InducedChurn;
-use std::sync::Arc;
 
 /// Slack allowed when the exact chain re-checks the fluid answer; the
 /// two paths agree to solver tolerance, so this is generous.
@@ -67,9 +65,6 @@ pub struct TuningOutcome {
     /// `rate` to `VERIFY_TOL` (10⁻⁷) *and* confirms the threshold
     /// verdict.
     pub verified_ok: bool,
-    /// Work counters aggregated across every probe solve (all zero
-    /// unless the `metrics` cargo feature is enabled).
-    pub obs: MeanFieldObsSnapshot,
 }
 
 /// Minimal induced-churn rate whose stationary polluted fraction meets
@@ -105,14 +100,11 @@ pub fn tune_induced_churn(
         )));
     }
 
-    let obs = Arc::new(MeanFieldObs::new());
     let mut evaluations = 0u64;
     let mut probe = |rate: f64| -> Result<f64, MeanFieldError> {
         let defense =
             InducedChurn::new(rate).map_err(|e| MeanFieldError::InvalidConfig(e.to_string()))?;
-        let model = FluidModel::build_with_defense(params, &defense, initial)?
-            .sharing_obs(Arc::clone(&obs));
-        model.obs().tuning_eval();
+        let model = FluidModel::build_with_defense(params, &defense, initial)?;
         evaluations += 1;
         Ok(model.open_equilibrium()?.polluted_fraction)
     };
@@ -167,7 +159,6 @@ pub fn tune_induced_churn(
         evaluations,
         verified_polluted,
         verified_ok: agrees && verdict_holds,
-        obs: obs.snapshot(),
     })
 }
 

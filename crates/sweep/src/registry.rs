@@ -2,9 +2,6 @@
 //! (Sections VII–VIII) plus beyond-paper grids exploring regimes the
 //! paper's fixed tables cannot show.
 
-use pollux::experiments::{
-    figure5_sample_points, FIGURE_D_GRID, FIGURE_MU_GRID, TABLE1_D_GRID, TABLE_MU_GRID,
-};
 use pollux::{AdversaryToggles, InitialCondition};
 use pollux_defense::DefenseSpec;
 use pollux_prob::tolerance::AGREEMENT_SIGMAS;
@@ -26,6 +23,24 @@ pub const PAPER_ARTEFACTS: [&str; 11] = [
     "validate_model",
     "validate_overlay",
 ];
+
+/// The `d` grid of Figures 3 and 4.
+const FIGURE_D_GRID: [f64; 4] = [0.0, 0.3, 0.8, 0.9];
+
+/// The `μ` grid of Figures 3 and 4.
+const FIGURE_MU_GRID: [f64; 7] = [0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30];
+
+/// The `μ` grid of Tables I and II.
+const TABLE_MU_GRID: [f64; 4] = [0.0, 0.10, 0.20, 0.30];
+
+/// The `d` grid of Table I.
+const TABLE1_D_GRID: [f64; 3] = [0.95, 0.99, 0.999];
+
+/// The Figure-5 sampling grid: 0 to 100 000 events in steps of 2 000
+/// (51 points), matching the paper's x-axis.
+fn figure5_sample_points() -> Vec<u64> {
+    (0..=50).map(|i| i * 2000).collect()
+}
 
 fn both_initials() -> Vec<InitialCondition> {
     vec![InitialCondition::Delta, InitialCondition::Beta]

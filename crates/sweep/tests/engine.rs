@@ -202,33 +202,3 @@ fn smoke_tiny_grid_end_to_end() {
     assert!(header.ends_with("E_T_S\tE_T_P"));
     fs::remove_dir_all(&dir).expect("cleanup");
 }
-
-#[test]
-fn sweep_reproduces_the_legacy_experiments_module() {
-    // The engine must agree exactly with the hand-rolled loops it
-    // replaced: compare a fig3 panel cell against pollux::experiments.
-    let cells = pollux::experiments::figure3_panel(1, &pollux::InitialCondition::Delta)
-        .expect("legacy panel");
-    let report = SweepRunner::new()
-        .run(&registry::find("fig3").unwrap())
-        .expect("runs");
-    let (k_col, init_col) = (
-        report.column("k").unwrap(),
-        report.column("initial").unwrap(),
-    );
-    let (d_col, mu_col) = (report.column("d").unwrap(), report.column("mu").unwrap());
-    for legacy in &cells {
-        let row = report
-            .rows
-            .iter()
-            .position(|r| {
-                r[k_col].as_f64() == Some(1.0)
-                    && r[init_col].to_string() == "delta"
-                    && r[d_col].as_f64() == Some(legacy.d)
-                    && r[mu_col].as_f64() == Some(legacy.mu)
-            })
-            .unwrap_or_else(|| panic!("missing cell d={} mu={}", legacy.d, legacy.mu));
-        assert_eq!(report.f64(row, "E_T_S").unwrap(), legacy.expected_safe);
-        assert_eq!(report.f64(row, "E_T_P").unwrap(), legacy.expected_polluted);
-    }
-}

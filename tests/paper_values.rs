@@ -7,6 +7,7 @@
 //! (Table I's `1518` and Table II's `0.26`).
 
 use pollux::{ClusterAnalysis, InitialCondition, ModelParams, ModelSpace};
+use pollux_sweep::{registry, OutputKind, SweepReport, SweepRunner};
 
 fn analysis(mu: f64, d: f64, k: usize) -> ClusterAnalysis {
     let params = ModelParams::paper_defaults()
@@ -15,6 +16,21 @@ fn analysis(mu: f64, d: f64, k: usize) -> ClusterAnalysis {
         .with_k(k)
         .expect("valid k");
     ClusterAnalysis::new(&params, InitialCondition::Delta).expect("paper parameters")
+}
+
+/// Runs a registry scenario, so its grid comes from the one place that
+/// defines it.
+fn sweep(name: &str) -> SweepReport {
+    let scenario = registry::find(name).expect("registered scenario");
+    SweepRunner::new().run(&scenario).expect("scenario runs")
+}
+
+/// Row indices of the δ-initial panel of `report`.
+fn delta_rows(report: &SweepReport) -> Vec<usize> {
+    let initial = report.column("initial").expect("initial column");
+    (0..report.rows.len())
+        .filter(|&r| report.rows[r][initial].to_string() == "delta")
+        .collect()
 }
 
 #[test]
@@ -33,6 +49,32 @@ fn section_vii_mu0_constants() {
     let split = a.absorption_split().unwrap();
     assert!((split.safe_merge - 4.0 / 7.0).abs() < 1e-9);
     assert!((split.safe_split - 3.0 / 7.0).abs() < 1e-9);
+}
+
+#[test]
+fn table1_magnitudes_match_paper() {
+    // Paper's Table I (k = 1, alpha = delta): at mu = 0 every column reads
+    // E(T_S) = 12, E(T_P) = 0; pollution time explodes with d.
+    let report = sweep("table1");
+    let at = |r: usize, col: &str| report.f64(r, col).unwrap();
+    assert_eq!(report.rows.len(), 12);
+    let mut mu0_cells = 0;
+    for r in 0..report.rows.len() {
+        if at(r, "mu") != 0.0 {
+            continue;
+        }
+        mu0_cells += 1;
+        let d = at(r, "d");
+        assert!((at(r, "E_T_S") - 12.0).abs() < 1e-6, "d={d}");
+        assert!(at(r, "E_T_P").abs() < 1e-9, "d={d}");
+    }
+    assert_eq!(mu0_cells, 3);
+    // mu = 30 %, d = 0.999 is the paper's 9.3e9 corner.
+    let corner = (0..report.rows.len())
+        .find(|&r| at(r, "mu") == 0.30 && at(r, "d") == 0.999)
+        .expect("mu = 0.30, d = 0.999 cell");
+    let tp = at(corner, "E_T_P");
+    assert!(tp > 1e8, "{tp}");
 }
 
 #[test]
@@ -120,6 +162,51 @@ fn figure4_polluted_merge_below_8_percent() {
 }
 
 #[test]
+fn figure4_delta_panel_bounds_and_mu0_split() {
+    // Section VII-E on every (d, mu) of the delta panel: p(AmP) stays
+    // under 8 %, and at mu = 0 the split is 4/7 merge vs 3/7 split.
+    let report = sweep("fig4");
+    let rows = delta_rows(&report);
+    assert_eq!(rows.len(), 28);
+    let mut mu0_cells = 0;
+    for r in rows {
+        let (d, mu) = (report.f64(r, "d").unwrap(), report.f64(r, "mu").unwrap());
+        let amp = report.f64(r, "p_polluted_merge").unwrap();
+        assert!(amp < 0.08, "d={d} mu={mu}: p(AmP) = {amp}");
+        if mu == 0.0 {
+            mu0_cells += 1;
+            let ams = report.f64(r, "p_safe_merge").unwrap();
+            let als = report.f64(r, "p_safe_split").unwrap();
+            assert!((ams - 4.0 / 7.0).abs() < 1e-9, "d={d}: p(AmS) = {ams}");
+            assert!((als - 3.0 / 7.0).abs() < 1e-9, "d={d}: p(AlS) = {als}");
+        }
+    }
+    assert_eq!(mu0_cells, 4);
+}
+
+#[test]
+fn figure3_protocol1_dominates_protocol7() {
+    // "protocol_1 outperforms protocol_C" on every (d, mu) of the delta
+    // panel: E(T_S^(1)) >= E(T_S^(7)) and E(T_P^(1)) <= E(T_P^(7)).
+    let report = sweep("fig3");
+    let at = |r: usize, col: &str| report.f64(r, col).unwrap();
+    let rows = delta_rows(&report);
+    let (k1, k7): (Vec<usize>, Vec<usize>) = rows.iter().partition(|&&r| at(r, "k") == 1.0);
+    assert_eq!((k1.len(), k7.len()), (28, 28));
+    for &r1 in &k1 {
+        let (d, mu) = (at(r1, "d"), at(r1, "mu"));
+        let r7 = *k7
+            .iter()
+            .find(|&&r| at(r, "d") == d && at(r, "mu") == mu)
+            .unwrap_or_else(|| panic!("no k = 7 cell at d={d} mu={mu}"));
+        let (s1, s7) = (at(r1, "E_T_S"), at(r7, "E_T_S"));
+        let (p1, p7) = (at(r1, "E_T_P"), at(r7, "E_T_P"));
+        assert!(s1 >= s7 - 1e-9, "d={d} mu={mu}: E(T_S) {s1} < {s7}");
+        assert!(p1 <= p7 + 1e-9, "d={d} mu={mu}: E(T_P) {p1} > {p7}");
+    }
+}
+
+#[test]
 fn figure3_protocols_bound_the_family() {
     // "protocol_1 and protocol_C bound the performance of the other ones".
     let mu = 0.25;
@@ -146,6 +233,16 @@ fn figure5_inferred_mu25_peak() {
     let (_, peak) = model.peak_polluted(&points).unwrap();
     assert!(peak < 0.022, "peak {peak}");
     assert!(peak > 0.020, "peak {peak}");
+}
+
+#[test]
+fn figure5_samples_the_papers_axis() {
+    let scenario = registry::find("fig5").expect("registered scenario");
+    let OutputKind::OverlayProportions { sample_points, .. } = &scenario.kind else {
+        panic!("fig5 reports overlay proportions");
+    };
+    assert_eq!(sample_points.len(), 51);
+    assert_eq!(sample_points.last(), Some(&100_000));
 }
 
 #[test]
