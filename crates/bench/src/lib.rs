@@ -127,9 +127,9 @@ pub fn fail_run(binary: &str, msg: &str) -> ! {
 
 /// Runs a binary's scenarios as one pooled sweep and emits artefacts to
 /// `--out-dir` when set. Under `--metrics-dir` each scenario also gets a
-/// `<name>.metrics.json` instrumentation sidecar (populated only by
-/// builds with the `metrics` cargo feature; sidecars carry wall times,
-/// which is why they live outside the determinism-diffed `--out-dir`).
+/// `<name>.metrics.json` instrumentation sidecar (sidecars carry wall
+/// times, which is why they live outside the determinism-diffed
+/// `--out-dir`).
 ///
 /// The runner comes from [`SweepArgs::runner_from_env`], so the
 /// `POLLUX_MEM_BUDGET_BYTES` budget and `POLLUX_FAULT` injection plan
@@ -154,12 +154,6 @@ pub fn run_and_emit(args: &SweepArgs, defaults: &[&str]) -> Vec<SweepReport> {
             }
         }
         if let Some(dir) = &args.metrics_dir {
-            if !pollux_obs::METRICS_ENABLED {
-                eprintln!(
-                    "note: --metrics-dir set but this build lacks the `metrics` \
-                     cargo feature; sidecars will be empty"
-                );
-            }
             std::fs::create_dir_all(dir)?;
             for sidecar in &obs {
                 let mut report = pollux_obs::ObsReport::new(&sidecar.scenario);

@@ -1565,8 +1565,6 @@ impl DesObs {
 ///
 /// The report and stats are **byte-identical** to the unobserved run's —
 /// recorders draw no randomness and never reorder events (test-enforced).
-/// Without the `metrics` cargo feature the recorders are inert and the
-/// returned [`DesObs`] is empty.
 ///
 /// # Panics
 ///
@@ -1927,9 +1925,9 @@ mod tests {
 
     #[test]
     fn observed_run_is_byte_identical_to_plain_run() {
-        // The inertness contract: attaching recorders (with or without
-        // the metrics feature, at any shard count) changes neither the
-        // report nor the shard partition of the events.
+        // The inertness contract: attaching recorders (at any shard
+        // count) changes neither the report nor the shard partition of
+        // the events.
         let p = params(0.25, 0.9);
         let strategy = TargetedStrategy::new(1, 0.1).unwrap();
         for cfg in [
@@ -1956,39 +1954,34 @@ mod tests {
             );
             assert_eq!(plain, observed);
             assert_eq!(plain_stats.shard_events, obs_stats.shard_events);
-            if pollux_obs::METRICS_ENABLED {
-                // Every processed event was tallied under exactly one
-                // churn kind (absorption tallies ride on top).
-                let churn: u64 = [
-                    DesEventKind::Join,
-                    DesEventKind::JoinRejected,
-                    DesEventKind::Leave,
-                    DesEventKind::SelfLoop,
-                    DesEventKind::InducedEviction,
-                    DesEventKind::Regeneration,
-                ]
-                .iter()
-                .filter_map(|k| obs.registry.counter(k.counter_key()))
-                .sum();
-                assert_eq!(churn, observed.events);
-                assert_eq!(
-                    obs.registry.counter(DesEventKind::Absorption.counter_key()),
-                    Some(observed.absorbed).filter(|&a| a > 0)
-                );
-                // Queues are block-local: the merged high-water is the
-                // deepest *local* future-event list (64 clusters split
-                // over the blocks).
-                let nblocks = (BLOCKS_PER_WORKER * cfg.shards).min(64);
-                assert_eq!(
-                    obs.registry.high_water_mark("des.queue.depth_high_water"),
-                    Some(64 / nblocks as u64)
-                );
-                assert!(!obs.trace.is_empty());
-                assert!(obs.trace.windows(2).all(|w| w[0].time <= w[1].time));
-            } else {
-                assert!(obs.registry.is_empty());
-                assert!(obs.trace.is_empty());
-            }
+            // Every processed event was tallied under exactly one
+            // churn kind (absorption tallies ride on top).
+            let churn: u64 = [
+                DesEventKind::Join,
+                DesEventKind::JoinRejected,
+                DesEventKind::Leave,
+                DesEventKind::SelfLoop,
+                DesEventKind::InducedEviction,
+                DesEventKind::Regeneration,
+            ]
+            .iter()
+            .filter_map(|k| obs.registry.counter(k.counter_key()))
+            .sum();
+            assert_eq!(churn, observed.events);
+            assert_eq!(
+                obs.registry.counter(DesEventKind::Absorption.counter_key()),
+                Some(observed.absorbed).filter(|&a| a > 0)
+            );
+            // Queues are block-local: the merged high-water is the
+            // deepest *local* future-event list (64 clusters split
+            // over the blocks).
+            let nblocks = (BLOCKS_PER_WORKER * cfg.shards).min(64);
+            assert_eq!(
+                obs.registry.high_water_mark("des.queue.depth_high_water"),
+                Some(64 / nblocks as u64)
+            );
+            assert!(!obs.trace.is_empty());
+            assert!(obs.trace.windows(2).all(|w| w[0].time <= w[1].time));
         }
     }
 

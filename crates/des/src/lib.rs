@@ -9,7 +9,7 @@
 //!   min-heap with deterministic FIFO tie-breaking at equal timestamps.
 //! * [`Simulation`] — the main loop driving a user [`EventHandler`].
 //! * [`churn`] — Poisson arrival processes for churn generation.
-//! * [`stats`] — Welford accumulators, counters and time series with
+//! * [`stats`] — Welford accumulators and summaries with
 //!   normal-approximation confidence intervals.
 //! * [`replication`] — seeded, embarrassingly parallel Monte-Carlo
 //!   replication over OS threads.

@@ -4,8 +4,6 @@
 //! per-replication seeds derived deterministically from a master seed, so
 //! results are reproducible regardless of thread scheduling.
 
-use crate::stats::{Summary, Welford};
-
 /// Derives the seed of replication `index` from `master_seed` via
 /// SplitMix64 (distinct, well-mixed streams).
 pub fn replication_seed(master_seed: u64, index: u64) -> u64 {
@@ -70,25 +68,6 @@ where
         .collect()
 }
 
-/// Convenience wrapper: runs replications producing one `f64` each and
-/// summarizes them with a 95 % normal-approximation confidence interval.
-pub fn run_and_summarize<F>(
-    replications: usize,
-    master_seed: u64,
-    threads: usize,
-    body: F,
-) -> Summary
-where
-    F: Fn(usize, u64) -> f64 + Sync,
-{
-    let values = run_parallel(replications, master_seed, threads, body);
-    let mut w = Welford::new();
-    for v in values {
-        w.push(v);
-    }
-    w.summary(1.96)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,23 +106,6 @@ mod tests {
         assert_eq!(results, vec![0, 2, 4]);
         let empty: Vec<u32> = run_parallel(0, 1, 4, |_, _| 0u32);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn summarize_monte_carlo_mean() {
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
-        // Estimate the mean of U(0,1) with 200 replications of 100 draws.
-        let summary = run_and_summarize(200, 5, 4, |_, seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..100).map(|_| rng.random::<f64>()).sum::<f64>() / 100.0
-        });
-        assert_eq!(summary.count, 200);
-        assert!(
-            (summary.mean - 0.5).abs() < 0.02,
-            "mean {} too far from 0.5",
-            summary.mean
-        );
-        assert!(summary.covers(0.5));
     }
 
     #[test]

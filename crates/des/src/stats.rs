@@ -2,7 +2,7 @@
 //!
 //! [`Welford`] accumulates means and variances in one numerically stable
 //! pass; [`Summary`] reports them with normal-approximation confidence
-//! intervals; [`TimeSeries`] records sampled trajectories.
+//! intervals.
 
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
@@ -133,82 +133,6 @@ impl std::fmt::Display for Summary {
     }
 }
 
-/// A recorded trajectory: `(time-or-step, value)` samples in order.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TimeSeries {
-    samples: Vec<(f64, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries::default()
-    }
-
-    /// Appends a sample; times must be non-decreasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `t` is smaller than the previous sample time.
-    pub fn push(&mut self, t: f64, value: f64) {
-        if let Some(&(last, _)) = self.samples.last() {
-            assert!(
-                t >= last,
-                "time series must be non-decreasing: {t} < {last}"
-            );
-        }
-        self.samples.push((t, value));
-    }
-
-    /// The recorded samples.
-    pub fn samples(&self) -> &[(f64, f64)] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Time-weighted average over the recorded span (step-function
-    /// interpretation: each value holds until the next sample).
-    ///
-    /// Returns `None` with fewer than two samples.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.samples.len() < 2 {
-            return None;
-        }
-        let mut area = 0.0;
-        for w in self.samples.windows(2) {
-            area += w[0].1 * (w[1].0 - w[0].0);
-        }
-        let span = self.samples.last().expect("nonempty").0 - self.samples[0].0;
-        if span <= 0.0 {
-            return None;
-        }
-        Some(area / span)
-    }
-
-    /// Value at time `t` under the step-function interpretation (the last
-    /// sample at or before `t`); `None` before the first sample.
-    pub fn value_at(&self, t: f64) -> Option<f64> {
-        let mut out = None;
-        for &(st, v) in &self.samples {
-            if st <= t {
-                out = Some(v);
-            } else {
-                break;
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,38 +201,5 @@ mod tests {
         assert!(s.covers(3.0));
         assert!(!s.covers(100.0));
         assert!(s.to_string().contains("n=5"));
-    }
-
-    #[test]
-    fn time_series_average() {
-        let mut ts = TimeSeries::new();
-        ts.push(0.0, 1.0);
-        ts.push(1.0, 3.0);
-        ts.push(3.0, 0.0);
-        // Step function: 1.0 over [0,1), 3.0 over [1,3): area = 1 + 6 = 7.
-        assert!((ts.time_weighted_mean().unwrap() - 7.0 / 3.0).abs() < 1e-12);
-        assert_eq!(ts.value_at(0.5), Some(1.0));
-        assert_eq!(ts.value_at(2.0), Some(3.0));
-        assert_eq!(ts.value_at(-1.0), None);
-        assert_eq!(ts.len(), 3);
-        assert!(!ts.is_empty());
-    }
-
-    #[test]
-    fn time_series_degenerate_cases() {
-        let ts = TimeSeries::new();
-        assert!(ts.is_empty());
-        assert_eq!(ts.time_weighted_mean(), None);
-        let mut ts = TimeSeries::new();
-        ts.push(1.0, 5.0);
-        assert_eq!(ts.time_weighted_mean(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn time_series_rejects_backwards_time() {
-        let mut ts = TimeSeries::new();
-        ts.push(2.0, 0.0);
-        ts.push(1.0, 0.0);
     }
 }

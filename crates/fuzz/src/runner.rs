@@ -29,8 +29,7 @@
 //!    worker shards must produce byte-identical reports.
 //! 6. **`recorder_inertness`** — the observed entry point
 //!    ([`run_des_overlay_duel_observed`]) must return a report
-//!    byte-identical to the unobserved one, with or without the
-//!    `metrics` cargo feature.
+//!    byte-identical to the unobserved one.
 //! 7. **`sweep_threads`** — a single-cell sweep of the scenario's
 //!    [`OutputKind`](pollux_sweep::OutputKind) choice must emit
 //!    byte-identical TSV/JSON artefacts at 1 and 2 runner threads.

@@ -6,8 +6,8 @@
 //! dynamics without perturbing that contract. This crate provides the
 //! pieces, all of them **provably inert**: recorders draw no randomness,
 //! never reorder events, and are consulted strictly *after* an event's
-//! effects are committed, so a run with metrics on produces the same
-//! bytes as a run with metrics off.
+//! effects are committed, so an observed run produces the same bytes as
+//! a plain one.
 //!
 //! * [`Recorder`] — the trait every instrumented loop is generic over.
 //!   All methods have `#[inline]` no-op default bodies, so a loop
@@ -17,11 +17,9 @@
 //! * [`MetricsRecorder`] — the real implementation: named monotonic
 //!   [counters](Registry), log₂-bucketed [`Histogram`]s, [`SpanStats`]
 //!   span timers, high-water gauges and a bounded ring-buffer
-//!   [`TraceRing`] event tracer. Its recording bodies are additionally
-//!   compiled out unless the `metrics` cargo feature is enabled — the
-//!   feature-flag matrix is documented in `DESIGN.md`.
-//! * [`Stopwatch`] — a span timer that is a zero-sized no-op without the
-//!   `metrics` feature, so call sites need no `#[cfg]`.
+//!   [`TraceRing`] event tracer. Which of the two a caller passes is the
+//!   only switch for recording: plain entry points pass [`NullRecorder`],
+//!   observed ones a [`MetricsRecorder`].
 //! * [`mem`] — memory accounting: peak/current RSS from
 //!   `/proc/self/status` plus exact [`mem::MemoryAudit`] byte audits of
 //!   the big simulation data structures (node arena, hot records, event
@@ -39,7 +37,8 @@
 //! 2. **No reordering** — recording happens after an event's effects are
 //!    committed; recorders cannot influence control flow.
 //! 3. **No output coupling** — metrics land in sidecar files only;
-//!    scenario TSV/JSON bytes are identical with recording on or off.
+//!    scenario TSV/JSON bytes are identical whether a run is observed or
+//!    not.
 //!
 //! # Example
 //!
@@ -60,10 +59,8 @@
 //! assert_eq!(hot_loop(&mut NullRecorder), 4950);
 //! let mut rec = MetricsRecorder::new();
 //! assert_eq!(hot_loop(&mut rec), 4950);
-//! // …and with the `metrics` feature on, the counters are populated.
-//! if pollux_obs::METRICS_ENABLED {
-//!     assert_eq!(rec.registry().counter("loop.iterations"), Some(100));
-//! }
+//! // …and the real one populates its counters.
+//! assert_eq!(rec.registry().counter("loop.iterations"), Some(100));
 //! ```
 
 pub mod mem;
@@ -77,70 +74,10 @@ pub use recorder::{MetricsRecorder, NullRecorder, Recorder};
 pub use report::ObsReport;
 pub use trace::{DesEventKind, TraceRecord, TraceRing};
 
-/// `true` when the crate was compiled with the `metrics` cargo feature,
-/// i.e. when [`MetricsRecorder`] and [`Stopwatch`] actually record.
-/// Callers can branch on this to skip assembling expensive observation
-/// inputs, but never need to: every recording path is safe (and inert)
-/// in both configurations.
-pub const METRICS_ENABLED: bool = cfg!(feature = "metrics");
-
-/// A span timer whose cost is compiled out without the `metrics`
-/// feature: [`Stopwatch::start`] is then a zero-sized constant and
-/// [`Stopwatch::elapsed_s`] returns `0.0` without reading a clock, so
-/// call sites need no `#[cfg]` and pay nothing when observation is off.
-///
-/// # Example
-///
-/// ```
-/// let t = pollux_obs::Stopwatch::start();
-/// let busy = t.elapsed_s(); // 0.0 unless the `metrics` feature is on
-/// assert!(busy >= 0.0);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    #[cfg(feature = "metrics")]
-    start: std::time::Instant,
-}
-
-impl Stopwatch {
-    /// Starts the timer (a no-op constant without the `metrics` feature).
-    #[inline]
-    #[must_use]
-    pub fn start() -> Self {
-        Stopwatch {
-            #[cfg(feature = "metrics")]
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// Seconds since [`Stopwatch::start`]; `0.0` without the `metrics`
-    /// feature.
-    #[inline]
-    #[must_use]
-    pub fn elapsed_s(&self) -> f64 {
-        #[cfg(feature = "metrics")]
-        {
-            self.start.elapsed().as_secs_f64()
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0.0
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stopwatch_is_inert_when_disabled() {
-        let t = Stopwatch::start();
-        let s = t.elapsed_s();
-        if METRICS_ENABLED {
-            assert!(s >= 0.0);
-        } else {
-            assert_eq!(s, 0.0);
-        }
-    }
-}
+/// Always `false`: recording is chosen per call, by the [`Recorder`] a
+/// caller passes, never at build time. Plain entry points pass
+/// [`NullRecorder`], so no build records on them; observed entry points
+/// pass a [`MetricsRecorder`], which always records. The benchmark under
+/// `perfbench/` still reads this constant to refuse untraced runs from a
+/// recording build; it goes away with the next change to that benchmark.
+pub const METRICS_ENABLED: bool = false;

@@ -1,21 +1,15 @@
 //! The [`Recorder`] trait instrumented loops are generic over, its no-op
 //! implementation [`NullRecorder`], and the real [`MetricsRecorder`].
 //!
-//! The zero-cost story has two independent layers:
+//! The zero-cost story is monomorphization: hot loops take
+//! `R: Recorder`; with [`NullRecorder`] every call inlines to an empty
+//! body and the loop compiles to the uninstrumented machine code. Public
+//! entry points that do not ask for observation pass `NullRecorder`, so
+//! their callers pay nothing; the observed entry points pass a
+//! [`MetricsRecorder`], which always records.
 //!
-//! 1. **Monomorphization** — hot loops take `R: Recorder`; with
-//!    [`NullRecorder`] every call inlines to an empty body and the loop
-//!    compiles to the uninstrumented machine code. Public entry points
-//!    that do not ask for observation pass `NullRecorder`, so existing
-//!    callers pay nothing regardless of cargo features.
-//! 2. **The `metrics` cargo feature** — even [`MetricsRecorder`]'s
-//!    bodies are compiled out without the feature, so a metrics-off
-//!    build carries no recording code at all and accidental use of the
-//!    real recorder in a hot path cannot cost anything.
-//!
-//! In *both* configurations every implementation is inert: no RNG, no
-//! effect on control flow, consulted only after an event's effects are
-//! committed.
+//! Both implementations are inert: no RNG, no effect on control flow,
+//! consulted only after an event's effects are committed.
 
 use crate::metrics::Registry;
 use crate::trace::{DesEventKind, TraceRing};
@@ -45,13 +39,6 @@ pub trait Recorder {
     /// x/y state) to the bounded ring buffer, if one is attached.
     #[inline]
     fn trace(&mut self, time: f64, cluster: u32, kind: DesEventKind, x: u32, y: u32) {}
-
-    /// `true` when this recorder actually records — lets call sites skip
-    /// *assembling* expensive inputs (never required for correctness).
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        false
-    }
 }
 
 /// The no-op recorder: a zero-sized type whose every call disappears at
@@ -63,9 +50,7 @@ pub struct NullRecorder;
 impl Recorder for NullRecorder {}
 
 /// The real recorder: a [`Registry`] of named metrics plus an optional
-/// bounded [`TraceRing`]. Without the `metrics` cargo feature its
-/// recording bodies are compiled out and it behaves exactly like
-/// [`NullRecorder`] (the registry stays empty, `is_enabled()` is false).
+/// bounded [`TraceRing`].
 ///
 /// One instance is owned per instrumented loop (per DES shard, per sweep
 /// worker); the spawning layer merges the registries afterwards in a
@@ -122,49 +107,29 @@ impl MetricsRecorder {
 impl Recorder for MetricsRecorder {
     #[inline]
     fn add(&mut self, key: &'static str, delta: u64) {
-        #[cfg(feature = "metrics")]
         self.registry.add(key, delta);
-        #[cfg(not(feature = "metrics"))]
-        let _ = (key, delta);
     }
 
     #[inline]
     fn observe(&mut self, key: &'static str, value: u64) {
-        #[cfg(feature = "metrics")]
         self.registry.observe(key, value);
-        #[cfg(not(feature = "metrics"))]
-        let _ = (key, value);
     }
 
     #[inline]
     fn high_water(&mut self, key: &'static str, value: u64) {
-        #[cfg(feature = "metrics")]
         self.registry.high_water(key, value);
-        #[cfg(not(feature = "metrics"))]
-        let _ = (key, value);
     }
 
     #[inline]
     fn span(&mut self, key: &'static str, seconds: f64) {
-        #[cfg(feature = "metrics")]
         self.registry.span(key, seconds);
-        #[cfg(not(feature = "metrics"))]
-        let _ = (key, seconds);
     }
 
     #[inline]
     fn trace(&mut self, time: f64, cluster: u32, kind: DesEventKind, x: u32, y: u32) {
-        #[cfg(feature = "metrics")]
         if let Some(ring) = &mut self.trace {
             ring.push(time, cluster, kind, x, y);
         }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (time, cluster, kind, x, y);
-    }
-
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        cfg!(feature = "metrics")
     }
 }
 
@@ -194,28 +159,21 @@ mod tests {
     }
 
     #[test]
-    fn metrics_recorder_population_matches_feature_flag() {
+    fn metrics_recorder_populates_every_metric_kind() {
         let mut rec = MetricsRecorder::with_trace(4);
         drive(&mut rec);
-        if crate::METRICS_ENABLED {
-            assert!(rec.is_enabled());
-            assert_eq!(rec.registry().counter("iters"), Some(10));
-            assert_eq!(rec.registry().histogram("acc_low").unwrap().count(), 10);
-            assert!(rec.registry().high_water_mark("acc_max").unwrap() > 0);
-            assert_eq!(rec.registry().span_stats("drive").unwrap().count(), 1);
-            // Ring capacity 4 keeps only the last 4 of 10 events.
-            assert_eq!(rec.tracer().unwrap().len(), 4);
-            assert_eq!(rec.tracer().unwrap().total_pushed(), 10);
-        } else {
-            assert!(!rec.is_enabled());
-            assert!(rec.registry().is_empty());
-            assert_eq!(rec.tracer().unwrap().len(), 0);
-        }
+        assert_eq!(rec.registry().counter("iters"), Some(10));
+        assert_eq!(rec.registry().histogram("acc_low").unwrap().count(), 10);
+        assert!(rec.registry().high_water_mark("acc_max").unwrap() > 0);
+        assert_eq!(rec.registry().span_stats("drive").unwrap().count(), 1);
+        // Ring capacity 4 keeps only the last 4 of 10 events.
+        assert_eq!(rec.tracer().unwrap().len(), 4);
+        assert_eq!(rec.tracer().unwrap().total_pushed(), 10);
     }
 
     #[test]
     fn null_recorder_is_zero_sized_and_disabled() {
+        // Zero-sized: there is nowhere for it to record to.
         assert_eq!(std::mem::size_of::<NullRecorder>(), 0);
-        assert!(!NullRecorder.is_enabled());
     }
 }

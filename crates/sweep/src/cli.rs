@@ -69,7 +69,6 @@ pub const USAGE: &str = "options:
   --out-dir DIR        write artefacts under DIR (default: print only / results)
   --format FMT         artefact format: tsv | json | both (default tsv)
   --metrics-dir DIR    write <scenario>.metrics.json sidecars under DIR
-                       (needs a build with the `metrics` cargo feature)
   --progress           per-cell progress/ETA on stderr
   --extended           include beyond-paper scenarios
   --list               list available scenarios and exit

@@ -19,7 +19,7 @@ use std::sync::{Mutex, PoisonError};
 use pollux_des::replication::replication_seed;
 use pollux_linalg::LinalgError;
 use pollux_markov::MarkovError;
-use pollux_obs::{Registry, Stopwatch};
+use pollux_obs::Registry;
 use pollux_resilience::{
     catch_panic, fault::SIMULATED_KILL_EXIT_CODE, fnv1a64, run_with_retry, CellFailure,
     FailureKind, FaultPlan, Journal, JournalEntry, JournalError, JournalHeader, MemoryBudget,
@@ -32,24 +32,26 @@ use crate::{OutputKind, Scenario, SweepCell, SweepError, SweepReport, Value};
 /// The keyed rows one cell contributes to its scenario's report.
 type CellRows = Vec<Vec<Value>>;
 /// What a worker reports back: the owning scenario, the cell's rows and
-/// the cell's wall time (0.0 unless the `metrics` feature is on).
-type CellOutcome = (usize, Result<CellRows, SweepError>, f64);
+/// the cell's wall time — `None` for a cell replayed from the journal,
+/// which this process never evaluated.
+type CellOutcome = (usize, Result<CellRows, SweepError>, Option<f64>);
 
 /// File name of the completion journal inside a journal directory.
 pub const JOURNAL_FILE: &str = "sweep.journal.jsonl";
 
 /// Instrumentation sidecar of one scenario's sweep: per-cell wall-time
 /// spans and cell/row counters, merged in canonical cell order so the
-/// aggregate is independent of worker scheduling. Empty when the
-/// `metrics` cargo feature is off — observation compiles out and
-/// [`SweepRunner::run_all_observed`] stays byte-identical to
-/// [`SweepRunner::run_all`].
+/// aggregate is independent of worker scheduling. Recording it leaves
+/// the reports of [`SweepRunner::run_all_observed`] byte-identical to
+/// [`SweepRunner::run_all`]'s.
 #[derive(Debug, Clone, Default)]
 pub struct SweepObs {
     /// The scenario this sidecar describes.
     pub scenario: String,
-    /// `sweep.cells` / `sweep.rows` counters plus the `sweep.cell_wall_s`
-    /// span over per-cell wall seconds.
+    /// `sweep.cells` / `sweep.rows` counters over every cell, plus the
+    /// `sweep.cell_wall_s` span over the wall seconds of the cells this
+    /// process evaluated (a resumed run's journal-replayed cells have no
+    /// wall time, so they add no span).
     pub registry: Registry,
 }
 
@@ -183,10 +185,10 @@ impl SweepRunner {
     }
 
     /// As [`SweepRunner::run_all`], additionally returning one
-    /// [`SweepObs`] instrumentation sidecar per scenario (empty unless
-    /// the `metrics` cargo feature is on). The reports are byte-identical
-    /// to the unobserved path: observation happens strictly after each
-    /// cell's rows are computed and draws no randomness.
+    /// [`SweepObs`] instrumentation sidecar per scenario. The reports are
+    /// byte-identical to the unobserved path: observation happens
+    /// strictly after each cell's rows are computed and draws no
+    /// randomness.
     ///
     /// # Errors
     ///
@@ -304,7 +306,7 @@ impl SweepRunner {
                                 reason,
                             })
                         })?;
-                        outcomes[slot] = Some((scenario_index, Ok(rows), 0.0));
+                        outcomes[slot] = Some((scenario_index, Ok(rows), None));
                     }
                     Some((Journal::open_append(&path)?, columns_hash))
                 } else {
@@ -356,7 +358,7 @@ impl SweepRunner {
                         Ok(job) => job,
                         Err(_) => break,
                     };
-                    let watch = Stopwatch::start();
+                    let cell_start = std::time::Instant::now();
                     let rows = evaluate_resilient(
                         job.scenario,
                         &job.cell,
@@ -367,7 +369,7 @@ impl SweepRunner {
                         fault_plan,
                         &memory_budget,
                     );
-                    let cell_seconds = watch.elapsed_s();
+                    let cell_seconds = cell_start.elapsed().as_secs_f64();
                     let keyed = rows.map(|rows| {
                         rows.into_iter()
                             .map(|row| {
@@ -378,7 +380,7 @@ impl SweepRunner {
                             .collect::<Vec<_>>()
                     });
                     if result_tx
-                        .send((job.slot, (job.scenario_index, keyed, cell_seconds)))
+                        .send((job.slot, (job.scenario_index, keyed, Some(cell_seconds))))
                         .is_err()
                     {
                         break;
@@ -469,15 +471,15 @@ impl SweepRunner {
                             "worker thread died without reporting a result".into(),
                         ),
                     })),
-                    0.0,
+                    None,
                 )
             });
             let rows = rows?;
-            if pollux_obs::METRICS_ENABLED {
-                let registry = &mut obs[scenario_index].registry;
-                registry.add("sweep.cells", 1);
-                registry.add("sweep.rows", rows.len() as u64);
-                registry.span("sweep.cell_wall_s", cell_seconds);
+            let registry = &mut obs[scenario_index].registry;
+            registry.add("sweep.cells", 1);
+            registry.add("sweep.rows", rows.len() as u64);
+            if let Some(seconds) = cell_seconds {
+                registry.span("sweep.cell_wall_s", seconds);
             }
             reports[scenario_index].rows.extend(rows);
         }
@@ -702,7 +704,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_matches_plain_run_and_populates_iff_metrics() {
+    fn observed_run_matches_plain_run_and_populates_the_sidecar() {
         let scenario = tiny_scenario();
         let runner = SweepRunner::new().with_threads(4);
         let plain = runner.run_all(std::slice::from_ref(&scenario)).unwrap();
@@ -712,17 +714,13 @@ mod tests {
         assert_eq!(plain, observed);
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].scenario, "tiny");
-        if pollux_obs::METRICS_ENABLED {
-            assert_eq!(obs[0].registry.counter("sweep.cells"), Some(4));
-            assert_eq!(
-                obs[0].registry.counter("sweep.rows"),
-                Some(observed[0].rows.len() as u64)
-            );
-            let span = obs[0].registry.span_stats("sweep.cell_wall_s").unwrap();
-            assert_eq!(span.count(), 4);
-        } else {
-            assert!(obs[0].registry.is_empty());
-        }
+        assert_eq!(obs[0].registry.counter("sweep.cells"), Some(4));
+        assert_eq!(
+            obs[0].registry.counter("sweep.rows"),
+            Some(observed[0].rows.len() as u64)
+        );
+        let span = obs[0].registry.span_stats("sweep.cell_wall_s").unwrap();
+        assert_eq!(span.count(), 4);
     }
 
     #[test]
@@ -799,13 +797,18 @@ mod tests {
         // journal supplied them.
         let plan = FaultPlan::parse("panic-cell=0@1,panic-cell=0@2,panic-cell=1@1,panic-cell=1@2")
             .unwrap();
-        let resumed = SweepRunner::new()
+        let (resumed, obs) = SweepRunner::new()
             .with_threads(1)
             .with_journal_dir(&dir)
             .with_fault_plan(plan)
-            .run(&scenario)
+            .run_all_observed(std::slice::from_ref(&scenario))
             .unwrap();
-        assert_eq!(clean.to_tsv(), resumed.to_tsv());
+        assert_eq!(clean.to_tsv(), resumed[0].to_tsv());
+        // Every cell counts, but only the two this run evaluated have a
+        // wall time: replayed cells must not enter the span as 0 s.
+        assert_eq!(obs[0].registry.counter("sweep.cells"), Some(4));
+        let span = obs[0].registry.span_stats("sweep.cell_wall_s").unwrap();
+        assert_eq!(span.count(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -21,11 +21,15 @@
 //! `POLLUX_DES_TRACE=path.jsonl` additionally exports the tail of the
 //! DES event trace (the last 65 536 events per shard, merged in time
 //! order) as JSON Lines — one `{"cluster":…,"kind":…,"time":…,"x":…,
-//! "y":…}` record per line. The trace only populates in builds with the
-//! `metrics` cargo feature; recording it never changes the report bytes
+//! "y":…}` record per line. Recording it never changes the report bytes
 //! (the run is re-executed through the observed entry point and checked
-//! against the plain one).
+//! against the plain one):
+//!
+//! ```text
+//! POLLUX_DES_TRACE=/tmp/des_trace.jsonl cargo run --release --example des_at_scale
+//! ```
 
+use std::io::Write;
 use std::time::Instant;
 
 use pollux::des_overlay::run_des_overlay_duel_observed;
@@ -121,16 +125,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 );
                 let traced_secs = start.elapsed().as_secs_f64();
                 assert_eq!(r, traced, "tracing must never change the bytes");
-                if pollux_obs::METRICS_ENABLED {
-                    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-                    obs.write_trace_jsonl(&mut f)?;
-                    println!(
-                        "  trace: wrote {} records to {path} ({traced_secs:.2} s)\n",
-                        obs.trace.len()
-                    );
-                } else {
-                    eprintln!("  trace: {path} skipped — rebuild with --features metrics\n");
-                }
+                let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
+                obs.write_trace_jsonl(&mut f)?;
+                f.flush()?;
+                println!(
+                    "  trace: wrote {} records to {path} ({traced_secs:.2} s)\n",
+                    obs.trace.len()
+                );
             }
         }
     }

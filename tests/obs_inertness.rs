@@ -2,9 +2,9 @@
 //! instrumentation is **provably inert**. Every scenario artefact —
 //! sweep TSV/JSON bytes, DES reports, duel reports — must be
 //! byte-identical whether metrics are recorded or not, at any
-//! shard/thread count. These tests run in both feature configurations
-//! (CI builds with and without `--features metrics`); the recorded side
-//! is additionally checked for plausibility when metrics are on.
+//! shard/thread count. Each test compares a plain entry point (which
+//! passes `NullRecorder`) with its observed twin (which passes a
+//! `MetricsRecorder`), and checks the recorded side for plausibility.
 
 use proptest::prelude::*;
 
@@ -59,13 +59,8 @@ fn des_duel_bytes_survive_observation_at_any_shard_count() {
         );
         assert_eq!(plain, observed, "observation changed report bytes");
         assert_eq!(plain_stats.shard_events, obs_stats.shard_events);
-        if pollux_obs::METRICS_ENABLED {
-            assert!(!obs.registry.is_empty());
-            assert!(!obs.trace.is_empty());
-        } else {
-            assert!(obs.registry.is_empty());
-            assert!(obs.trace.is_empty());
-        }
+        assert!(!obs.registry.is_empty());
+        assert!(!obs.trace.is_empty());
     }
 }
 
@@ -135,11 +130,7 @@ fn sweep_artefact_bytes_survive_observation() {
                 .unwrap();
             assert_eq!(plain, observed[0], "{}, threads={threads}", scenario.name);
             renderings.push((plain.to_tsv(), plain.to_json()));
-            if pollux_obs::METRICS_ENABLED {
-                assert!(obs[0].registry.counter("sweep.cells").is_some());
-            } else {
-                assert!(obs[0].registry.is_empty());
-            }
+            assert!(obs[0].registry.counter("sweep.cells").is_some());
         }
         assert_eq!(renderings[0], renderings[1], "{}", scenario.name);
     }
@@ -176,10 +167,8 @@ proptest! {
             trace_capacity,
         );
         prop_assert_eq!(&plain, &observed);
-        if pollux_obs::METRICS_ENABLED {
-            // Trace stays bounded and time-sorted even across shard merges.
-            prop_assert!(obs.trace.len() <= trace_capacity * shards);
-            prop_assert!(obs.trace.windows(2).all(|w| w[0].time <= w[1].time));
-        }
+        // Trace stays bounded and time-sorted even across shard merges.
+        prop_assert!(obs.trace.len() <= trace_capacity * shards);
+        prop_assert!(obs.trace.windows(2).all(|w| w[0].time <= w[1].time));
     }
 }
