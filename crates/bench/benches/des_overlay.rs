@@ -8,8 +8,8 @@
 //! cluster runs to absorption under a non-binding per-cluster budget,
 //! no regeneration) and records events/second:
 //!
-//! * **single shard** — the raw hot-loop number (one worker running
-//!   its four cluster blocks one after another), compared in the
+//! * **single shard** — the raw hot-loop number (one worker playing
+//!   every 1024-cluster block, cluster by cluster), compared in the
 //!   headline against the recorded pre-PR baseline (`BinaryHeap`
 //!   future-event list, one global RNG, per-event exponential draws);
 //! * **sharded** — one shard per available core, per-shard and
@@ -24,7 +24,7 @@
 //!
 //! Each rung also records a `memory` block: the exact analytic byte
 //! audit from `pollux::des_overlay::des_memory_audit` (bitset flags,
-//! SoA hot records, event queue, accumulators → **bytes per node**,
+//! SoA hot records, accumulators → **bytes per node**,
 //! identical across platforms) plus the kernel's `VmHWM` peak RSS. Peak
 //! RSS is monotonic over the process, so it reflects the largest rung
 //! run *so far*; per-rung structure sizes come from the audit.

@@ -131,7 +131,7 @@ mod tests {
     /// A small rung runs byte-identically on one worker and on two —
     /// the trajectory's anchor fact.
     #[test]
-    fn bits_ten_rung_is_deterministic_across_backends() {
+    fn bits_ten_rung_is_deterministic_across_shard_counts() {
         let params = ladder_params();
         let strategy = TargetedStrategy::new(params.k(), params.nu()).unwrap();
         let config = ladder_config(10);

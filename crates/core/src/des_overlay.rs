@@ -64,27 +64,37 @@
 //!
 //! Every run, at every [`DesOverlayConfig::shards`] value, executes one
 //! deterministic partition. The `n` clusters are cut into
-//! `nblocks = min(4·shards, n)` even contiguous **blocks** (block `b`
-//! covers `[b·n/nblocks, (b+1)·n/nblocks)`), and worker `w` of the
-//! `shards` workers (`std::thread::scope`, as in the `pollux-sweep` pool)
-//! runs blocks `w·nblocks/shards` up to `(w+1)·nblocks/shards` one after
-//! another, each on its own future-event list
-//! ([`pollux_des::EventQueue`], the index-based 4-ary heap) holding one
-//! pending arrival per cluster of the block. Each block reports
-//! per-cluster statistics that the caller merges **in cluster order** —
+//! `nblocks = max(⌈n / 1024⌉, shards)` even contiguous **blocks** of
+//! (at most) 1024 clusters — block `b` covers
+//! `[b·n/nblocks, (b+1)·n/nblocks)`, and `shards` is clamped to `n` —
+//! and worker `w` of the `shards` workers (`std::thread::scope`, as in
+//! the `pollux-sweep` pool) runs blocks `w, w + shards, w + 2·shards, …`
+//! one after another. A block is **cluster-major**: it plays its
+//! clusters one at a time, each from its first arrival to the end of its
+//! stream (budget spent, or absorbed without regeneration), on a local
+//! clock. No event reads another cluster's state and every cross-cluster
+//! report field is an integer sum, a maximum or an ordered merge, so
+//! interleaving the clusters by time would carry no information; no
+//! future-event list is kept.
+//!
+//! Workers send each finished block's outcome to the calling thread,
+//! which folds the outcomes **in block order** (= cluster order) as they
+//! arrive, holding early arrivals until their predecessors are in:
 //! integer tallies by summation, sojourn and lifetime moments by ordered
-//! Welford merges, occupancy-grid counts by summation. Worker `w`'s
-//! blocks precede worker `w + 1`'s, so joining the worker outputs in
-//! worker order *is* cluster order, and `shards = 1` and `shards = 64`
-//! produce byte-identical [`DesOverlayReport`]s (test-enforced, like the
-//! sweep pool's thread-count invariance).
+//! Welford merges, occupancy-grid counts by summation. The fold is the
+//! same left-to-right reduction over the clusters at every shard count,
+//! so `shards = 1` and `shards = 64` produce byte-identical
+//! [`DesOverlayReport`]s (test-enforced, like the sweep pool's
+//! thread-count invariance), and a block's per-cluster accumulators live
+//! only until it is folded.
 //!
 //! Blocks are assigned statically rather than claimed off a shared
 //! cursor: a cursor measured no faster, and it made the per-worker
-//! [`DesShardStats`] depend on thread timing. Four blocks per worker keep
-//! each block's queue and hot columns a quarter of the worker's share,
-//! and a worker drops one block's flags, hot columns and queue before it
-//! builds the next.
+//! [`DesShardStats`] depend on thread timing. A worker drops one block's
+//! flags and hot columns before it builds the next, so whatever the
+//! overlay size its live state is one 1024-cluster block: about 130 KiB
+//! of hot columns and flags at `C = Δ = 7`, plus 72 KiB of accumulators
+//! that the fold frees.
 //!
 //! The event budget is likewise defined shard-invariantly:
 //! [`DesOverlayConfig::max_events`] is distributed over the clusters as
@@ -97,19 +107,18 @@
 //! its budget runs out is censored with its partial counts, as in
 //! [`crate::simulation::estimate`].
 //!
-//! The hot event loop is allocation-free: each block's future-event list
-//! is pre-sized to one pending arrival per cluster and popped/refilled
-//! with the fused `replace_earliest` (one queue operation per event),
-//! the event payload is a bare `u32` cluster index (no boxing),
-//! per-cluster hot state lives in structure-of-arrays columns
-//! grouped by access phase — one 64-byte *draw line* per cluster (the
-//! RNG state plus the batch of exponential gaps drawn through
+//! The hot event loop is allocation-free and touches one cluster at a
+//! time: its arrival time is a local running sum of gaps, per-cluster
+//! hot state lives in structure-of-arrays columns grouped by access
+//! phase — one 64-byte *draw line* per cluster (the RNG state plus the
+//! batch of exponential gaps drawn through
 //! [`pollux_prob::exponential::fill`]) and one 64-byte *bookkeeping
 //! line* (six-byte counter pack, cycle tallies, budget, warm-up, sample
-//! cursor), so an event's whole footprint is a handful of prefetchable
-//! lines — membership flags are packed bitsets, and the maintenance
-//! draw uses two reusable scratch buffers. A 10⁶-node overlay processes 10⁶ events in well
-//! under a second per worker.
+//! cursor) — membership flags are packed bitsets, and the maintenance
+//! draw uses two reusable scratch buffers. A cluster's lines stay in
+//! cache for the length of its stream instead of being fetched anew for
+//! every event. A 10⁶-node overlay processes 10⁶ events in well under a
+//! second per worker.
 //!
 //! Per-cluster sojourn counts (`T_S`, `T_P` in events) and the absorption
 //! split are accumulated with Welford statistics, so one run yields `n`
@@ -153,7 +162,7 @@ use pollux_defense::{effective_join_admission, effective_survival, Defense, Null
 use pollux_des::churn::{ChurnKind, EventMix};
 use pollux_des::replication::replication_seed;
 use pollux_des::stats::{Summary, Welford};
-use pollux_des::{EventQueue, SimTime};
+use pollux_des::SimTime;
 use pollux_obs::mem::MemoryAudit;
 use pollux_obs::{
     DesEventKind, MetricsRecorder, NullRecorder, Recorder, Registry, TraceRecord, TraceRing,
@@ -163,12 +172,17 @@ use pollux_overlay::Label;
 use pollux_overlay::NodeId;
 use pollux_prob::{exponential, AliasTable};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::mpsc;
 
 use crate::{
     AdversaryToggles, ClusterState, InitialCondition, ModelParams, ModelSpace, StateClass,
 };
 
-/// Provenance only: every run resolves to the heap.
+/// Provenance only, re-exported for benchmarks that print it: this
+/// module's runs use no future-event list (see the module docs' block
+/// plan), so the value names the generic engine's queue, not one a run
+/// used.
 pub use pollux_des::QueueBackend;
 
 /// Configuration of a whole-overlay discrete-event run.
@@ -445,8 +459,7 @@ struct CycleTallies {
 
 /// Per-cluster draw state: the private counter-seeded stream and its
 /// batch of pre-drawn exponential gaps. Exactly one cache line (32 + 32
-/// bytes, 64-aligned), so the draw side of an event costs one line fill
-/// — and one prefetch hint covers it.
+/// bytes, 64-aligned), so the draw side of an event touches one line.
 #[derive(Debug)]
 #[repr(align(64))]
 struct DrawState {
@@ -458,13 +471,10 @@ struct DrawState {
 
 /// Per-cluster accounting, one 64-aligned line per cluster: the
 /// membership counters, cycle tallies, event budget, warm-up window and
-/// occupancy cursor that a single event's bookkeeping touches. These
-/// started as five separate SoA columns; profiling the 2²⁰-cluster
-/// ladder rung (where the working set is ~10× L3) showed the dispatch
-/// loop stalling on ~6 random line fills per event — one per column —
-/// so the always-touched-together bookkeeping now shares one line and
-/// one prefetch hint, while the phase-specific columns (draw state,
-/// flag bitsets, Welford accumulators) stay split.
+/// occupancy cursor that a single event's bookkeeping touches. They are
+/// always touched together, so they share one line, while the
+/// phase-specific columns (draw state, flag bitsets, Welford
+/// accumulators) stay split.
 #[derive(Debug, Clone, Default)]
 #[repr(align(64))]
 struct ClusterAcct {
@@ -533,7 +543,7 @@ struct BlockOutcome {
 }
 
 /// One cluster block: clusters `[lo, lo + count)` of the overlay,
-/// structure-of-arrays, with a local future-event list. Generic over a
+/// structure-of-arrays, played one cluster at a time. Generic over a
 /// [`Recorder`] so the observed and unobserved hot loops are separate
 /// monomorphizations: with [`NullRecorder`] every recording call inlines
 /// to nothing and the loop is the uninstrumented machine code.
@@ -581,7 +591,6 @@ struct BlockSim<'a, S: Strategy, D: Defense + ?Sized, R: Recorder> {
     /// per-cluster allocations entirely.
     #[cfg(debug_assertions)]
     labels: Vec<Label>,
-    queue: EventQueue<u32>,
     /// Reusable maintenance scratch: demotion slot indices, then the
     /// candidate pool as 0/1 malicious flags (pool members carry no
     /// other identity).
@@ -1118,143 +1127,104 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder> BlockSim<'_, S, D, R> {
         self.acct[l].next_sample = idx as u32;
     }
 
-    /// Best-effort prefetch of cluster `l`'s hot state — issued for the
-    /// queue's runner-up events, so the memory latency of the *next*
-    /// event's cluster record overlaps with processing the current one
-    /// (above ~4k clusters the per-cluster columns outgrow L2, and an
-    /// unhinted loop stalls on random line fills per event). The
-    /// access-phase grouping puts everything an event touches on four
-    /// lines — the draw line (RNG + gaps), the bookkeeping line
-    /// (counters/tallies/budget), and the cluster's core/spare flag
-    /// words — so four hints cover the whole event. A no-op on
-    /// non-x86_64 targets.
-    #[inline]
-    fn prefetch_cluster(&self, l: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let core_w = (l * self.params.core_size()) >> 6;
-            let spare_w = (l * self.params.max_spare()) >> 6;
-            // SAFETY: prefetch is a pure hint — it performs no memory
-            // access and cannot fault even for a bad address; the
-            // pointers here are derived from live in-bounds references.
-            unsafe {
-                _mm_prefetch(std::ptr::from_ref(&self.draw[l]).cast::<i8>(), _MM_HINT_T0);
-                _mm_prefetch(std::ptr::from_ref(&self.acct[l]).cast::<i8>(), _MM_HINT_T0);
-                _mm_prefetch(
-                    std::ptr::from_ref(&self.core_mal[core_w]).cast::<i8>(),
-                    _MM_HINT_T0,
-                );
-                _mm_prefetch(
-                    std::ptr::from_ref(&self.spare_mal[spare_w]).cast::<i8>(),
-                    _MM_HINT_T0,
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = l;
-    }
-
-    /// The block's event loop: pops the earliest local arrival, plays it
-    /// on its cluster, and reschedules the cluster's next arrival through
-    /// the fused earliest-replacement — one queue operation per event.
+    /// The block's event loop, cluster-major: plays each cluster's own
+    /// arrival stream from its first arrival to its end before the next
+    /// cluster starts. A cluster draws only from its own stream and no
+    /// event reads another cluster's state, so the order the clusters are
+    /// played in changes no report byte.
     fn run(&mut self) {
         let delta = self.delta();
         let quorum = self.params.quorum();
         let sampling = !self.sample_times.is_empty();
-        while let Some((t, l)) = self.queue.peek().map(|(t, &l)| (t, l)) {
-            // Hint the clusters that could fire next while this event is
-            // being processed.
-            for &r in self.queue.runners_up() {
-                self.prefetch_cluster(r as usize);
-            }
-            let li = l as usize;
-            let tv = t.value();
-            if tv > self.end_time {
-                self.end_time = tv;
-            }
-            if sampling {
-                self.sample_to(li, tv);
-            }
-            self.events += 1;
-            self.acct[li].budget -= 1;
-
-            let kind = if self.acct[li].ctr.status != ClusterStatus::Transient {
-                // Only regeneration mode schedules absorbed clusters:
-                // this arrival is consumed by the re-seed (the
-                // renewal–reward "+1" event, counted toward neither
-                // sojourn).
-                debug_assert!(self.regenerate);
-                if self.acct[li].warmup > 0 {
-                    self.acct[li].warmup -= 1;
-                    self.warmup_total += 1;
-                } else {
-                    self.regen_events += 1;
+        for li in 0..self.acct.len() {
+            // The cluster's clock: its arrivals are the running sums of
+            // its own gaps.
+            let mut t = SimTime::ZERO;
+            // The stream ends when the budget is spent, or when the
+            // cluster absorbs without regeneration (an absorbed chain
+            // sits in a closed state forever; its arrivals carry no
+            // further information). In regeneration mode a cluster born
+            // absorbed still gets arrivals — its first performs the
+            // re-seed, upholding the "overlay never drains" contract for
+            // Custom initial distributions with absorbing mass.
+            while self.acct[li].budget > 0
+                && (self.regenerate || self.acct[li].ctr.status == ClusterStatus::Transient)
+            {
+                t += self.next_gap(li);
+                let tv = t.value();
+                if sampling {
+                    self.sample_to(li, tv);
                 }
-                self.seed_cluster(li, t);
-                DesEventKind::Regeneration
-            } else {
-                // The event counts toward the sojourn of the class it
-                // lands in (the same accounting as the single-cluster
-                // simulator); the steady-state tallies additionally skip
-                // each cluster's warm-up window.
-                {
-                    let polluted = self.acct[li].ctr.x as usize > quorum;
-                    if polluted {
-                        self.acct[li].cycle.poll_ev += 1;
-                    } else {
-                        self.acct[li].cycle.safe_ev += 1;
-                    }
+                self.events += 1;
+                self.acct[li].budget -= 1;
+
+                let kind = if self.acct[li].ctr.status != ClusterStatus::Transient {
+                    // Only regeneration mode plays absorbed clusters:
+                    // this arrival is consumed by the re-seed (the
+                    // renewal–reward "+1" event, counted toward neither
+                    // sojourn).
+                    debug_assert!(self.regenerate);
                     if self.acct[li].warmup > 0 {
                         self.acct[li].warmup -= 1;
                         self.warmup_total += 1;
-                    } else if polluted {
-                        self.poll_event_total += 1;
                     } else {
-                        self.safe_event_total += 1;
+                        self.regen_events += 1;
+                    }
+                    self.seed_cluster(li, t);
+                    DesEventKind::Regeneration
+                } else {
+                    // The event counts toward the sojourn of the class it
+                    // lands in (the same accounting as the single-cluster
+                    // simulator); the steady-state tallies additionally
+                    // skip each cluster's warm-up window.
+                    {
+                        let polluted = self.acct[li].ctr.x as usize > quorum;
+                        if polluted {
+                            self.acct[li].cycle.poll_ev += 1;
+                        } else {
+                            self.acct[li].cycle.safe_ev += 1;
+                        }
+                        if self.acct[li].warmup > 0 {
+                            self.acct[li].warmup -= 1;
+                            self.warmup_total += 1;
+                        } else if polluted {
+                            self.poll_event_total += 1;
+                        } else {
+                            self.safe_event_total += 1;
+                        }
+                    }
+                    let kind = self.churn_event(li);
+                    let s = self.acct[li].ctr.s as usize;
+                    if s == 0 || s == delta {
+                        self.absorb(li, t);
+                    }
+                    kind
+                };
+
+                // Observation — strictly after the event's effects
+                // committed (the inertness contract): tally the kind,
+                // trace the post-event state, and tally an absorption
+                // when this event closed the cluster. With `NullRecorder`
+                // every line below compiles away.
+                {
+                    let c = (self.lo + li) as u32;
+                    let ctr = self.acct[li].ctr;
+                    let (x, y, absorbed_now) = (
+                        u32::from(ctr.x),
+                        u32::from(ctr.y),
+                        ctr.status != ClusterStatus::Transient,
+                    );
+                    self.rec.add(kind.counter_key(), 1);
+                    self.rec.trace(tv, c, kind, x, y);
+                    if absorbed_now {
+                        self.rec.add(DesEventKind::Absorption.counter_key(), 1);
+                        self.rec.trace(tv, c, DesEventKind::Absorption, x, y);
                     }
                 }
-                let kind = self.churn_event(li);
-                let s = self.acct[li].ctr.s as usize;
-                if s == 0 || s == delta {
-                    self.absorb(li, t);
-                }
-                kind
-            };
-
-            // Observation — strictly after the event's effects committed
-            // (the inertness contract): tally the kind, trace the
-            // post-event state, and tally an absorption when this event
-            // closed the cluster. With `NullRecorder` every line below
-            // compiles away.
-            {
-                let c = (self.lo + li) as u32;
-                let ctr = self.acct[li].ctr;
-                let (x, y, absorbed_now) = (
-                    u32::from(ctr.x),
-                    u32::from(ctr.y),
-                    ctr.status != ClusterStatus::Transient,
-                );
-                self.rec.add(kind.counter_key(), 1);
-                self.rec.trace(tv, c, kind, x, y);
-                if absorbed_now {
-                    self.rec.add(DesEventKind::Absorption.counter_key(), 1);
-                    self.rec.trace(tv, c, DesEventKind::Absorption, x, y);
-                }
             }
-
-            // Reschedule the cluster's next arrival unless its stream
-            // ended: budget exhausted, or absorbed without regeneration
-            // (an absorbed chain sits in a closed state forever; its
-            // arrivals carry no further information).
-            if self.acct[li].budget > 0
-                && (self.regenerate || self.acct[li].ctr.status == ClusterStatus::Transient)
-            {
-                let gap = self.next_gap(li);
-                let _ = self.queue.replace_earliest(t + gap, l);
-            } else {
-                let _ = self.queue.pop();
-            }
+            // Arrival times only grow, so the stream's last one is its
+            // latest event.
+            self.end_time = self.end_time.max(t.value());
         }
     }
 
@@ -1367,7 +1337,6 @@ fn run_block<S: Strategy, D: Defense + ?Sized, R: Recorder>(
         spare_mal: vec![0; bitset_words(count * delta)],
         #[cfg(debug_assertions)]
         labels: Vec::with_capacity(count),
-        queue: EventQueue::with_capacity(count),
         pool: Vec::with_capacity(c_size + delta),
         empty_slots: Vec::with_capacity(c_size),
         events: 0,
@@ -1421,30 +1390,6 @@ fn run_block<S: Strategy, D: Defense + ?Sized, R: Recorder>(
         .filter(|a| a.ctr.status == ClusterStatus::Transient)
         .map(|a| c_size as u64 + u64::from(a.ctr.s))
         .sum();
-
-    // Every cluster with a positive budget gets its first arrival, unless
-    // it was born absorbed without regeneration (in regeneration mode
-    // absorbed-at-birth clusters are scheduled too — their first arrival
-    // performs the re-seed, upholding the "overlay never drains" contract
-    // for Custom initial distributions with absorbing mass). One pending
-    // arrival per scheduled cluster is the queue's invariant, so `count`
-    // capacity keeps the hot loop reallocation-free.
-    for l in 0..count {
-        if block.acct[l].budget > 0
-            && (config.regenerate || block.acct[l].ctr.status == ClusterStatus::Transient)
-        {
-            let gap = block.next_gap(l);
-            block.queue.push(SimTime::ZERO + gap, l as u32);
-        }
-    }
-    // The future-event list holds one pending arrival per scheduled
-    // cluster and only ever shrinks, so its post-init length *is* the
-    // depth high-water mark of the whole run.
-    let depth = block.queue.len() as u64;
-    block.rec.high_water("des.queue.depth_high_water", depth);
-    block
-        .rec
-        .high_water("des.queue.heap_bytes", block.queue.heap_bytes() as u64);
 
     let start = std::time::Instant::now();
     block.run();
@@ -1533,14 +1478,15 @@ pub fn run_des_overlay_duel_with_stats<S: Strategy + Sync, D: Defense + Sync + ?
 /// [`DesOverlayReport`] (sidecar data only).
 #[derive(Debug, Clone, Default)]
 pub struct DesObs {
-    /// Per-shard registries merged in shard order (= cluster order):
-    /// event-kind counters, queue depth/bytes high-water marks, per-block
-    /// busy-time spans and event-share histogram.
+    /// Per-shard registries merged in shard order: event-kind counters,
+    /// per-block busy-time spans and event-share histogram.
     pub registry: Registry,
     /// The ring-buffer traces of all shards merged chronologically (ties
     /// broken by shard order). Each shard keeps its *own* last
-    /// `trace_capacity` events, so the merged view is the tail of every
-    /// shard's stream (its blocks in turn), not of the global stream.
+    /// `trace_capacity` events, and a worker plays each cluster's stream
+    /// to its end before the next, so a ring holds the complete
+    /// histories of the last clusters that worker ran (the tail of its
+    /// last block), not a time window of the global stream.
     pub trace: Vec<TraceRecord>,
 }
 
@@ -1602,19 +1548,19 @@ pub fn run_des_overlay_duel_observed<S: Strategy + Sync, D: Defense + Sync + ?Si
 ///
 /// The figures are totals over all blocks of the block plan (see the
 /// module docs), up to one 8-byte rounding word per bitset per block.
-/// They bound the live set from above: accumulators stay alive until the
-/// merge, but each worker drops a block's flags, hot columns and queue
-/// before starting its next block, so only `shards` blocks of those are
-/// alive at once.
+/// They bound the live set from above: each worker drops a block's flags
+/// and hot columns before starting its next block, and the calling
+/// thread frees a block's accumulators as soon as it folds them, so the
+/// live set is `shards` blocks of columns plus the accumulators of the
+/// blocks not yet folded.
 ///
 /// Structure keys: `des.flags` (the packed core/spare malicious
 /// bitsets — one *bit* per membership slot, all a node's identity the
 /// simulation ever reads back), `des.cluster_hot` (the SoA per-cluster
 /// columns, two 64-byte lines per cluster: the draw line — RNG state +
 /// gap batch — and the bookkeeping line — counter pack, cycle tallies,
-/// budget, warm-up, sample cursor), `des.event_queue` (the 4-ary heap
-/// future-event lists, one entry per cluster) and `des.accumulators`
-/// (per-cluster Welford triples).
+/// budget, warm-up, sample cursor) and `des.accumulators` (per-cluster
+/// Welford triples).
 pub fn des_memory_audit(params: &ModelParams, config: &DesOverlayConfig) -> MemoryAudit {
     let n = 1u64 << config.cluster_bits;
     let c_size = params.core_size() as u64;
@@ -1628,11 +1574,6 @@ pub fn des_memory_audit(params: &ModelParams, config: &DesOverlayConfig) -> Memo
     // cluster (both 64-aligned; the padding is the audit's to count).
     let hot_stride = (std::mem::size_of::<DrawState>() + std::mem::size_of::<ClusterAcct>()) as u64;
     audit.record("des.cluster_hot", n * hot_stride);
-    // One pending arrival per cluster.
-    audit.record(
-        "des.event_queue",
-        n * EventQueue::<u32>::entry_bytes() as u64,
-    );
     // Three Welford accumulators (count, mean, M2) per cluster.
     audit.record(
         "des.accumulators",
@@ -1641,20 +1582,20 @@ pub fn des_memory_audit(params: &ModelParams, config: &DesOverlayConfig) -> Memo
     audit
 }
 
-/// Cluster blocks per worker in the block plan (see the module docs).
-const BLOCKS_PER_WORKER: usize = 4;
+/// Clusters per block of the block plan (see the module docs).
+const BLOCK_CLUSTERS: usize = 1024;
 
 /// The recorder-generic core behind every public entry point: runs the
 /// block plan (each worker with its own recorder from `make_rec`, handed
-/// from block to block) and merges outcomes in cluster order. Returns
-/// the recorders in worker order so observed callers can merge them; the
-/// unobserved path passes [`NullRecorder`] and the compiler erases every
-/// observation site from the hot loop.
+/// from block to block) and folds block outcomes in block order on the
+/// calling thread as they arrive. Returns the recorders in worker order
+/// so observed callers can merge them; the unobserved path passes
+/// [`NullRecorder`] and the compiler erases every observation site from
+/// the hot loop.
 ///
 /// Every cluster's sample path depends only on `(seed, cluster)`, and
-/// worker `w`'s blocks precede worker `w + 1`'s, so concatenating the
-/// worker outputs in worker order yields the blocks in cluster order at
-/// every shard count.
+/// blocks are contiguous cluster ranges folded in block order, so the
+/// fold visits the clusters in cluster order at every shard count.
 #[allow(clippy::too_many_arguments)]
 fn run_duel_core<S, D, R, F>(
     params: &ModelParams,
@@ -1694,7 +1635,7 @@ where
     );
     let n = 1usize << config.cluster_bits;
     let shards = config.shards.clamp(1, n);
-    let nblocks = (BLOCKS_PER_WORKER * shards).min(n);
+    let nblocks = n.div_ceil(BLOCK_CLUSTERS).max(shards);
 
     let space = ModelSpace::new(params);
     let alpha = initial
@@ -1703,52 +1644,9 @@ where
     let table = AliasTable::new(&alpha).expect("alpha is a distribution");
     let states: Vec<ClusterState> = space.iter().map(|(_, st)| *st).collect();
 
-    let (outcomes, recorders): (Vec<Vec<BlockOutcome>>, Vec<R>) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|w| {
-                let (table, states, make_rec) = (&table, &states[..], &make_rec);
-                scope.spawn(move || {
-                    let mut rec = make_rec();
-                    let mut blocks = Vec::new();
-                    for b in w * nblocks / shards..(w + 1) * nblocks / shards {
-                        let (lo, hi) = (b * n / nblocks, (b + 1) * n / nblocks);
-                        let (outcome, block_rec) = run_block(
-                            params,
-                            strategy,
-                            defense,
-                            config,
-                            table,
-                            states,
-                            seed,
-                            lo,
-                            hi - lo,
-                            n,
-                            rec,
-                        );
-                        blocks.push(outcome);
-                        rec = block_rec;
-                    }
-                    (blocks, rec)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("DES shard panicked"))
-            .unzip()
-    });
-    let shard_events = outcomes
-        .iter()
-        .map(|blocks| blocks.iter().map(|o| o.events).sum())
-        .collect();
-    let shard_seconds = outcomes
-        .iter()
-        .map(|blocks| blocks.iter().map(|o| o.seconds).sum())
-        .collect();
-
-    // Merge in cluster order: integer tallies sum (order-free), the
-    // moment accumulators merge cluster by cluster (ordered, so the
-    // floating-point result is identical for every contiguous partition).
+    // The fold: integer tallies sum (order-free), the moment
+    // accumulators merge cluster by cluster in cluster order (so the
+    // floating-point result is identical at every shard count).
     let mut safe_w = Welford::new();
     let mut poll_w = Welford::new();
     let mut life_w = Welford::new();
@@ -1765,39 +1663,92 @@ where
     let mut end_time = 0.0f64;
     let mut occ_safe = vec![0u64; config.sample_times.len()];
     let mut occ_poll = vec![0u64; config.sample_times.len()];
-    for o in outcomes.iter().flatten() {
-        for w in &o.safe_w {
-            safe_w.merge(w);
-        }
-        for w in &o.poll_w {
-            poll_w.merge(w);
-        }
-        for w in &o.life_w {
-            life_w.merge(w);
-        }
-        events += o.events;
-        safe_event_total += o.safe_event_total;
-        poll_event_total += o.poll_event_total;
-        warmup_events += o.warmup_total;
-        measured_cycles += o.measured_cycles;
-        regen_events += o.regen_events;
-        for (acc, &c) in absorption_counts.iter_mut().zip(&o.absorption_counts) {
-            *acc += c;
-        }
-        censored += o.censored;
-        initial_nodes += o.initial_nodes;
-        peak_nodes += o.peak_nodes;
-        end_time = end_time.max(o.end_time);
-        for (acc, &c) in occ_safe.iter_mut().zip(&o.occ_safe) {
-            *acc += c;
-        }
-        for (acc, &c) in occ_poll.iter_mut().zip(&o.occ_poll) {
-            *acc += c;
-        }
-    }
+    let mut shard_events = vec![0u64; shards];
+    let mut shard_seconds = vec![0.0f64; shards];
 
-    // Grid points the run never reached are dropped, exactly as the
-    // single-queue engine dropped points past its last processed event.
+    let (tx, rx) = mpsc::channel::<(usize, BlockOutcome)>();
+    let recorders: Vec<R> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .map(|w| {
+                let (table, states, make_rec) = (&table, &states[..], &make_rec);
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    let mut rec = make_rec();
+                    for b in (w..nblocks).step_by(shards) {
+                        let (lo, hi) = (b * n / nblocks, (b + 1) * n / nblocks);
+                        let (outcome, block_rec) = run_block(
+                            params,
+                            strategy,
+                            defense,
+                            config,
+                            table,
+                            states,
+                            seed,
+                            lo,
+                            hi - lo,
+                            n,
+                            rec,
+                        );
+                        rec = block_rec;
+                        tx.send((b, outcome))
+                            .expect("the calling thread folds every block");
+                    }
+                    rec
+                })
+            })
+            .collect();
+        // Only the workers hold senders now, so the receiver drains once
+        // the last of them finishes its last block.
+        drop(tx);
+        // Fold strictly in block order (= cluster order), holding blocks
+        // that arrive early until their predecessors are in; a block's
+        // per-cluster accumulators are freed as soon as it is folded.
+        let mut early = BTreeMap::new();
+        let mut next = 0usize;
+        for (b, outcome) in rx {
+            early.insert(b, outcome);
+            while let Some(o) = early.remove(&next) {
+                for w in &o.safe_w {
+                    safe_w.merge(w);
+                }
+                for w in &o.poll_w {
+                    poll_w.merge(w);
+                }
+                for w in &o.life_w {
+                    life_w.merge(w);
+                }
+                events += o.events;
+                safe_event_total += o.safe_event_total;
+                poll_event_total += o.poll_event_total;
+                warmup_events += o.warmup_total;
+                measured_cycles += o.measured_cycles;
+                regen_events += o.regen_events;
+                for (acc, &c) in absorption_counts.iter_mut().zip(&o.absorption_counts) {
+                    *acc += c;
+                }
+                censored += o.censored;
+                initial_nodes += o.initial_nodes;
+                peak_nodes += o.peak_nodes;
+                end_time = end_time.max(o.end_time);
+                for (acc, &c) in occ_safe.iter_mut().zip(&o.occ_safe) {
+                    *acc += c;
+                }
+                for (acc, &c) in occ_poll.iter_mut().zip(&o.occ_poll) {
+                    *acc += c;
+                }
+                // Block `next` ran on worker `next mod shards`.
+                shard_events[next % shards] += o.events;
+                shard_seconds[next % shards] += o.seconds;
+                next += 1;
+            }
+        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("DES shard panicked"))
+            .collect()
+    });
+
+    // Grid points past the run's last event are dropped.
     let occupancy: Vec<(f64, f64, f64)> = config
         .sample_times
         .iter()
@@ -1855,6 +1806,7 @@ mod tests {
     use crate::ClusterAnalysis;
     use pollux_adversary::baselines::{PassiveAdversary, RecklessAdversary};
     use pollux_adversary::TargetedStrategy;
+    use pollux_obs::{Histogram, SpanStats};
 
     fn params(mu: f64, d: f64) -> ModelParams {
         ModelParams::paper_defaults().with_mu(mu).with_d(d)
@@ -1972,13 +1924,20 @@ mod tests {
                 obs.registry.counter(DesEventKind::Absorption.counter_key()),
                 Some(observed.absorbed).filter(|&a| a > 0)
             );
-            // Queues are block-local: the merged high-water is the
-            // deepest *local* future-event list (64 clusters split
-            // over the blocks).
-            let nblocks = (BLOCKS_PER_WORKER * cfg.shards).min(64);
+            // One busy span and one event-share sample per block of the
+            // plan, the samples jointly covering every processed event.
+            let nblocks = 64usize.div_ceil(BLOCK_CLUSTERS).max(cfg.shards);
             assert_eq!(
-                obs.registry.high_water_mark("des.queue.depth_high_water"),
-                Some(64 / nblocks as u64)
+                obs.registry
+                    .span_stats("des.shard.busy_s")
+                    .map(SpanStats::count),
+                Some(nblocks as u64)
+            );
+            assert_eq!(
+                obs.registry
+                    .histogram("des.shard.events")
+                    .map(Histogram::sum),
+                Some(observed.events)
             );
             assert!(!obs.trace.is_empty());
             assert!(obs.trace.windows(2).all(|w| w[0].time <= w[1].time));
@@ -2005,10 +1964,6 @@ mod tests {
         // cycle tallies + 8 B budget + 8 B warm-up + 4 B cursor,
         // 64-aligned) per cluster.
         assert_eq!(audit.get("des.cluster_hot"), Some(n * 128));
-        assert_eq!(
-            audit.get("des.event_queue"),
-            Some(n * EventQueue::<u32>::entry_bytes() as u64)
-        );
         // The headline number the scaling ladder asserts on: the packed
         // layout sits well under the pre-refactor 25.0 B/node.
         assert!(
@@ -2024,14 +1979,26 @@ mod tests {
     fn block_plan_is_byte_identical_at_any_shard_count() {
         // The block-plan contract: at every worker count — including
         // counts that divide neither the cluster count nor the block
-        // count, and counts whose 4·shards blocks clamp to one cluster
-        // each — the report reproduces the single-shard bytes exactly.
+        // count, counts that split a sub-block overlay into one block per
+        // worker, and counts that leave a worker several blocks whose
+        // outcomes reach the fold out of order — the report reproduces
+        // the single-shard bytes exactly.
         let p = params(0.25, 0.9);
         let strategy = TargetedStrategy::new(1, 0.1).unwrap();
-        for bits in [4u32, 6] {
-            let base = config(bits)
+        let grid = vec![0.0, 5.0, 25.0];
+        let legs = [
+            config(4)
                 .with_regeneration()
-                .with_sample_times(vec![0.0, 5.0, 25.0]);
+                .with_sample_times(grid.clone()),
+            config(6)
+                .with_regeneration()
+                .with_sample_times(grid.clone()),
+            DesOverlayConfig::new(12, 1.0, 40 << 12)
+                .with_regeneration()
+                .with_sample_times(grid),
+        ];
+        for base in legs {
+            let bits = base.cluster_bits;
             let one = run_des_overlay(&p, &InitialCondition::Delta, &strategy, &base, 5);
             for shards in [2usize, 3, 8] {
                 let cfg = base.clone().with_shards(shards);
@@ -2041,11 +2008,111 @@ mod tests {
         }
     }
 
+    /// A report's integer fields, then the bit patterns of its end time,
+    /// summary moments and occupancy grid.
+    fn report_bits(r: &DesOverlayReport) -> (Vec<u64>, Vec<u64>) {
+        let mut ints = vec![
+            r.n_clusters as u64,
+            r.initial_nodes,
+            r.peak_nodes,
+            r.events,
+            r.absorbed,
+            r.censored,
+            r.safe_event_total,
+            r.polluted_event_total,
+            r.warmup_events,
+            r.measured_cycles,
+            r.regen_events,
+            r.safe_events.count,
+            r.polluted_events.count,
+            r.lifetime.count,
+        ];
+        ints.extend(r.absorption_counts);
+        let mut bits = vec![r.end_time.to_bits()];
+        for s in [&r.safe_events, &r.polluted_events, &r.lifetime] {
+            bits.extend([s.mean.to_bits(), s.variance.to_bits()]);
+        }
+        for &(t, safe, poll) in &r.occupancy {
+            bits.extend([t.to_bits(), safe.to_bits(), poll.to_bits()]);
+        }
+        (ints, bits)
+    }
+
+    #[test]
+    fn des_reports_match_the_interleaved_engine() {
+        // Pinned to the bytes of the engine that interleaved every
+        // block's clusters through one future-event list: a cluster's
+        // sample path depends on its own stream alone, so playing the
+        // clusters one after another must reproduce them exactly.
+        let p = params(0.25, 0.9);
+        let strategy = TargetedStrategy::new(1, 0.1).unwrap();
+        let absorb = run_des_overlay(&p, &InitialCondition::Delta, &strategy, &config(11), 2011);
+        let duel_cfg = DesOverlayConfig::new(8, 1.0, 200 << 8)
+            .with_regeneration()
+            .with_warmup_events(50)
+            .with_sample_times(vec![0.0, 5.0, 25.0]);
+        let duel = run_des_overlay_duel(
+            &p,
+            &InitialCondition::Delta,
+            &strategy,
+            &pollux_defense::IncarnationRefresh::new(8.0, 0.5).unwrap(),
+            &duel_cfg,
+            2011,
+        );
+        assert_eq!(
+            report_bits(&absorb),
+            (
+                vec![
+                    2048, 20480, 25280, 25617, 2048, 0, 23591, 2026, 0, 2048, 0, 2048, 2048, 2048,
+                    980, 958, 110, 0,
+                ],
+                vec![
+                    4638572962468510191,
+                    4622674262757474310,
+                    4634889183905611732,
+                    4607085661776773114,
+                    4630252350154402783,
+                    4623223121369341878,
+                    4639302109437845516,
+                ],
+            )
+        );
+        assert_eq!(
+            report_bits(&duel),
+            (
+                vec![
+                    256, 2560, 3584, 51200, 3780, 243, 33985, 1571, 12800, 2857, 2844, 3780, 3780,
+                    3780, 1796, 1841, 143, 0,
+                ],
+                vec![
+                    4642599127477861842,
+                    4622603375381224594,
+                    4634658551748393210,
+                    4601158556441291154,
+                    4621594783611672415,
+                    4622888130180688134,
+                    4637051003488159865,
+                    0,
+                    4607182418800017408,
+                    0,
+                    4617315517961601024,
+                    4606478731358240768,
+                    0,
+                    4627730092099895296,
+                    4606478731358240768,
+                    4580160821035794432,
+                ],
+            )
+        );
+    }
+
     #[test]
     fn block_plan_stats_are_per_worker_and_partition_the_events() {
         let p = params(0.25, 0.9);
         let strategy = TargetedStrategy::new(1, 0.1).unwrap();
-        let cfg = config(7).with_shards(4);
+        // Four 1024-cluster blocks on three workers: worker 0 owns
+        // blocks 0 and 3.
+        let cfg = config(12).with_shards(3);
         let run = || {
             run_des_overlay_duel_with_stats(
                 &p,
@@ -2059,7 +2126,7 @@ mod tests {
         let (report, stats) = run();
         // One stats row per worker (not per block), jointly covering
         // every processed event.
-        assert_eq!(stats.shards(), 4);
+        assert_eq!(stats.shards(), 3);
         assert_eq!(stats.shard_events.iter().sum::<u64>(), report.events);
         // Blocks are assigned statically, so the per-worker event split
         // is a function of the inputs, not of thread timing.

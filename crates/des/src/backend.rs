@@ -1,10 +1,12 @@
-//! The queue-backend selector, kept for provenance: the engine runs on
-//! one future-event list, the 4-ary heap ([`crate::EventQueue`]), and
-//! consumers that record which queue a result was measured on still
-//! print this enum.
+//! The queue-backend selector, kept for provenance only: the generic
+//! engine runs on one future-event list, the 4-ary heap
+//! ([`crate::EventQueue`]), and a benchmark that records which queue a
+//! result was measured on still prints this enum. The whole-overlay DES
+//! in `pollux::des_overlay` uses no future-event list at all, so for its
+//! results the recorded value names a queue that did not run.
 
-/// Which future-event list a simulation runs on. There is one, so every
-/// variant resolves to [`QueueBackend::Heap`].
+/// Which future-event list the generic engine runs on. There is one, so
+/// every variant resolves to [`QueueBackend::Heap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueBackend {
     /// The default; resolves to [`QueueBackend::Heap`].

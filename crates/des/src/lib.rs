@@ -14,11 +14,12 @@
 //! * [`replication`] — seeded, embarrassingly parallel Monte-Carlo
 //!   replication over OS threads.
 //!
-//! The engine is deliberately model-agnostic; its flagship consumer is
-//! `pollux::des_overlay`, which drives a whole clustered overlay
-//! (10⁵–10⁷ nodes) as contiguous cluster blocks, each on its own
-//! [`EventQueue`], with per-cluster Poisson arrival streams and an
-//! allocation-free event loop.
+//! The engine is deliberately model-agnostic. The whole-overlay DES,
+//! `pollux::des_overlay` (10⁵–10⁷ nodes), uses this crate's clock,
+//! statistics, churn mix and replication seeding but not its queue: its
+//! clusters are independent, so it plays each cluster's own Poisson
+//! arrival stream to its end, 1024-cluster block by block, instead of
+//! interleaving the streams through an [`EventQueue`].
 //!
 //! # Example
 //!

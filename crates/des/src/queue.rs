@@ -4,16 +4,19 @@ use crate::SimTime;
 /// tie-breaking (events scheduled earlier pop first at equal times), which
 /// keeps simulations deterministic for a fixed seed.
 ///
-/// Internally an **index-based 4-ary min-heap** over a flat `Vec`: for the
-/// exponential inter-arrival workloads the simulators generate, a freshly
-/// scheduled event usually lands near the *back* of the time order, so the
-/// dominant cost is the `pop` sift-down. A 4-ary layout halves the sift
-/// depth of the classical binary heap (`log₄ n` levels instead of
-/// `log₂ n`) and keeps each level's four candidate children on one or two
-/// cache lines, trading a few extra comparisons per level for roughly half
-/// the dependent cache misses — a measurable win once the pending-event
-/// set outgrows L1 (the whole-overlay simulations keep one pending arrival
-/// per cluster, i.e. 10⁴–10⁵ entries).
+/// Internally an **index-based 4-ary min-heap** over a flat `Vec`: for
+/// exponential inter-arrival workloads a freshly scheduled event usually
+/// lands near the *back* of the time order, so the dominant cost is the
+/// `pop` sift-down. A 4-ary layout halves the sift depth of the classical
+/// binary heap (`log₄ n` levels instead of `log₂ n`) and keeps each
+/// level's four candidate children on one or two cache lines, trading a
+/// few extra comparisons per level for roughly half the dependent cache
+/// misses once the pending-event set outgrows L1.
+///
+/// This is the generic engine's queue ([`crate::Simulation`]). The
+/// whole-overlay DES in `pollux::des_overlay` needs none: its clusters
+/// are independent, so it plays each cluster's own arrival stream to its
+/// end instead of interleaving them by time.
 ///
 /// # Example
 ///
@@ -72,9 +75,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue whose backing storage holds `capacity` events
     /// without reallocating.
     ///
-    /// Large-scale simulations (one pending arrival per simulated cluster)
-    /// pre-size the future-event list once so the hot loop never touches
-    /// the allocator.
+    /// A simulation that knows its peak pending-event count pre-sizes the
+    /// future-event list once so the hot loop never touches the
+    /// allocator.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(capacity),
@@ -86,20 +89,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.heap.capacity()
-    }
-
-    /// Exact byte size of one heap entry for this payload type — the
-    /// memory-accounting unit (the backing allocation is
-    /// `capacity() * entry_bytes()` bytes).
-    #[must_use]
-    pub const fn entry_bytes() -> usize {
-        std::mem::size_of::<Entry<E>>()
-    }
-
-    /// Bytes of the heap's backing allocation.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.heap.capacity() * Self::entry_bytes()
     }
 
     /// Reserves room for at least `additional` further events.
@@ -131,57 +120,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| e.time)
-    }
-
-    /// The earliest pending event, without removing it.
-    #[must_use]
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.first().map(|e| (e.time, &e.event))
-    }
-
-    /// The events that could become the earliest once the root leaves:
-    /// the root's direct children in the 4-ary layout (up to four, in
-    /// heap order, *not* sorted). Simulation hot loops use this as a
-    /// prefetch hint — the next event to fire is almost always one of
-    /// these or the root's own replacement — so the memory latency of
-    /// the next event's state can overlap with processing the current
-    /// one.
-    pub fn runners_up(&self) -> impl Iterator<Item = &E> {
-        let end = self.heap.len().min(1 + ARITY);
-        self.heap
-            .get(1..end)
-            .unwrap_or(&[])
-            .iter()
-            .map(|e| &e.event)
-    }
-
-    /// Removes and returns the earliest event while scheduling `event` at
-    /// `time` in its place — the fused form of a pop followed by a push.
-    ///
-    /// This is the dominant operation of a simulation whose handlers
-    /// reschedule the entity they just processed (one pending arrival per
-    /// cluster): replacing the root costs a single sift-down instead of a
-    /// sift-down *and* a sift-up, halving the heap work per event. The
-    /// replacement takes the next FIFO sequence number, exactly as a
-    /// `push` would.
-    ///
-    /// Returns `None` (after scheduling `event` as a plain push) when the
-    /// queue was empty.
-    pub fn replace_earliest(&mut self, time: SimTime, event: E) -> Option<(SimTime, E)> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = Entry { time, seq, event };
-        match self.heap.first_mut() {
-            None => {
-                self.heap.push(entry);
-                None
-            }
-            Some(root) => {
-                let old = std::mem::replace(root, entry);
-                self.sift_down(0);
-                Some((old.time, old.event))
-            }
-        }
     }
 
     /// Number of pending events.
@@ -373,43 +311,6 @@ mod tests {
         q.push(SimTime::from(2.0), 2);
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
-    }
-
-    #[test]
-    fn replace_earliest_equals_pop_then_push() {
-        // The fused operation must be observationally identical to
-        // pop-then-push across an adversarial interleaving.
-        let mut fused = EventQueue::new();
-        let mut plain = EventQueue::new();
-        let mut state = 1u64;
-        for i in 0..500usize {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-            let t = SimTime::from(((state >> 58) & 31) as f64);
-            fused.push(t, i);
-            plain.push(t, i);
-            if state.is_multiple_of(2) && !fused.is_empty() {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-                let t2 = SimTime::from(((state >> 57) & 63) as f64);
-                let a = fused.replace_earliest(t2, i + 10_000);
-                let b = plain.pop();
-                plain.push(t2, i + 10_000);
-                assert_eq!(a, b);
-            }
-        }
-        let fused_rest: Vec<_> = std::iter::from_fn(|| fused.pop()).collect();
-        let plain_rest: Vec<_> = std::iter::from_fn(|| plain.pop()).collect();
-        assert_eq!(
-            fused_rest.iter().map(|&(t, e)| (t, e)).collect::<Vec<_>>(),
-            plain_rest.iter().map(|&(t, e)| (t, e)).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn replace_earliest_on_empty_schedules() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.replace_earliest(SimTime::from(1.0), 'a'), None);
-        assert_eq!(q.peek(), Some((SimTime::from(1.0), &'a')));
-        assert_eq!(q.pop(), Some((SimTime::from(1.0), 'a')));
     }
 
     #[test]

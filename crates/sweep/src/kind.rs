@@ -939,8 +939,9 @@ impl OutputKind {
     /// the sum) plus a per-shard working-set allowance for each worker's
     /// scratch (RNG state, staged accumulators, stack). The audit is the
     /// total over all cluster blocks of the run, an upper bound on its
-    /// live set: only `shards` blocks of flags, hot columns and queues
-    /// are alive at once. The allowance is what makes shard shedding a
+    /// live set: only `shards` blocks of flags and hot columns are alive
+    /// at once, plus the per-cluster accumulators of the blocks not yet
+    /// folded into the report. The allowance is what makes shard shedding a
     /// real degradation lever: the audited tables are shard-invariant by
     /// design, so shards only add scratch — and since DES output bytes
     /// are shard-invariant too, shedding changes the memory plan without

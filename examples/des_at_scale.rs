@@ -19,11 +19,13 @@
 //! override it with `POLLUX_DES_SHARDS=N`.
 //!
 //! `POLLUX_DES_TRACE=path.jsonl` additionally exports the tail of the
-//! DES event trace (the last 65 536 events per shard, merged in time
-//! order) as JSON Lines — one `{"cluster":…,"kind":…,"time":…,"x":…,
-//! "y":…}` record per line. Recording it never changes the report bytes
-//! (the run is re-executed through the observed entry point and checked
-//! against the plain one):
+//! DES event trace as JSON Lines — one `{"cluster":…,"kind":…,"time":…,
+//! "x":…,"y":…}` record per line. Each shard keeps its last 65 536
+//! events; a shard plays each cluster's stream to its end before the
+//! next, so those are the complete histories of the last clusters it
+//! ran, and the shards' tails are merged in time order. Recording it
+//! never changes the report bytes (the run is re-executed through the
+//! observed entry point and checked against the plain one):
 //!
 //! ```text
 //! POLLUX_DES_TRACE=/tmp/des_trace.jsonl cargo run --release --example des_at_scale
@@ -109,8 +111,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!("  {}\n", format_memory_line(&audit, peak));
 
-        // Optional trace export for the first (16k) rung only — the tail
-        // of a 10⁶-node run is just as representative and much smaller.
+        // Optional trace export for the first (16k) rung only — the last
+        // clusters of a 10⁶-node run are just as representative.
         if bits == 14 {
             if let Ok(path) = std::env::var("POLLUX_DES_TRACE") {
                 let start = Instant::now();
