@@ -77,9 +77,12 @@
 //! interleaving the clusters by time would carry no information; no
 //! future-event list is kept.
 //!
-//! Workers send each finished block's outcome to the calling thread,
-//! which folds the outcomes **in block order** (= cluster order) as they
-//! arrive, holding early arrivals until their predecessors are in:
+//! Each worker sends its finished blocks' outcomes, in order, over a
+//! channel of its own to the calling thread, which folds them **in block
+//! order** (= cluster order) — block `b` is the next message on worker
+//! `b mod shards`'s channel. The channels are bounded: a worker 32
+//! blocks ahead of the fold waits, so at most 32 outcomes (about 72 KiB
+//! each) per worker are held at once. The fold combines
 //! integer tallies by summation, sojourn and lifetime moments by ordered
 //! Welford merges, occupancy-grid counts by summation. The fold is the
 //! same left-to-right reduction over the clusters at every shard count,
@@ -172,7 +175,6 @@ use pollux_overlay::Label;
 use pollux_overlay::NodeId;
 use pollux_prob::{exponential, AliasTable};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use std::collections::BTreeMap;
 use std::sync::mpsc;
 
 use crate::{
@@ -1585,6 +1587,11 @@ pub fn des_memory_audit(params: &ModelParams, config: &DesOverlayConfig) -> Memo
 /// Clusters per block of the block plan (see the module docs).
 const BLOCK_CLUSTERS: usize = 1024;
 
+/// Finished blocks a worker may queue for the fold before its next send
+/// waits, so the channels hold at most `shards · FOLD_WINDOW` block
+/// outcomes however far one worker runs ahead of the others.
+const FOLD_WINDOW: usize = 32;
+
 /// The recorder-generic core behind every public entry point: runs the
 /// block plan (each worker with its own recorder from `make_rec`, handed
 /// from block to block) and folds block outcomes in block order on the
@@ -1666,12 +1673,18 @@ where
     let mut shard_events = vec![0u64; shards];
     let mut shard_seconds = vec![0.0f64; shards];
 
-    let (tx, rx) = mpsc::channel::<(usize, BlockOutcome)>();
+    // One bounded channel per worker: worker w sends blocks w,
+    // w + shards, … in order, so block b is the next message on channel
+    // b mod shards.
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards)
+        .map(|_| mpsc::sync_channel::<BlockOutcome>(FOLD_WINDOW))
+        .unzip();
     let recorders: Vec<R> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|w| {
+        let handles: Vec<_> = txs
+            .into_iter()
+            .enumerate()
+            .map(|(w, tx)| {
                 let (table, states, make_rec) = (&table, &states[..], &make_rec);
-                let tx = tx.clone();
                 scope.spawn(move || {
                     let mut rec = make_rec();
                     for b in (w..nblocks).step_by(shards) {
@@ -1690,58 +1703,55 @@ where
                             rec,
                         );
                         rec = block_rec;
-                        tx.send((b, outcome))
+                        tx.send(outcome)
                             .expect("the calling thread folds every block");
                     }
                     rec
                 })
             })
             .collect();
-        // Only the workers hold senders now, so the receiver drains once
-        // the last of them finishes its last block.
-        drop(tx);
-        // Fold strictly in block order (= cluster order), holding blocks
-        // that arrive early until their predecessors are in; a block's
+        // Fold strictly in block order (= cluster order); a block's
         // per-cluster accumulators are freed as soon as it is folded.
-        let mut early = BTreeMap::new();
-        let mut next = 0usize;
-        for (b, outcome) in rx {
-            early.insert(b, outcome);
-            while let Some(o) = early.remove(&next) {
-                for w in &o.safe_w {
-                    safe_w.merge(w);
-                }
-                for w in &o.poll_w {
-                    poll_w.merge(w);
-                }
-                for w in &o.life_w {
-                    life_w.merge(w);
-                }
-                events += o.events;
-                safe_event_total += o.safe_event_total;
-                poll_event_total += o.poll_event_total;
-                warmup_events += o.warmup_total;
-                measured_cycles += o.measured_cycles;
-                regen_events += o.regen_events;
-                for (acc, &c) in absorption_counts.iter_mut().zip(&o.absorption_counts) {
-                    *acc += c;
-                }
-                censored += o.censored;
-                initial_nodes += o.initial_nodes;
-                peak_nodes += o.peak_nodes;
-                end_time = end_time.max(o.end_time);
-                for (acc, &c) in occ_safe.iter_mut().zip(&o.occ_safe) {
-                    *acc += c;
-                }
-                for (acc, &c) in occ_poll.iter_mut().zip(&o.occ_poll) {
-                    *acc += c;
-                }
-                // Block `next` ran on worker `next mod shards`.
-                shard_events[next % shards] += o.events;
-                shard_seconds[next % shards] += o.seconds;
-                next += 1;
+        for b in 0..nblocks {
+            // A worker that panicked has hung up; its join reports it.
+            let Ok(o) = rxs[b % shards].recv() else {
+                break;
+            };
+            for w in &o.safe_w {
+                safe_w.merge(w);
             }
+            for w in &o.poll_w {
+                poll_w.merge(w);
+            }
+            for w in &o.life_w {
+                life_w.merge(w);
+            }
+            events += o.events;
+            safe_event_total += o.safe_event_total;
+            poll_event_total += o.poll_event_total;
+            warmup_events += o.warmup_total;
+            measured_cycles += o.measured_cycles;
+            regen_events += o.regen_events;
+            for (acc, &c) in absorption_counts.iter_mut().zip(&o.absorption_counts) {
+                *acc += c;
+            }
+            censored += o.censored;
+            initial_nodes += o.initial_nodes;
+            peak_nodes += o.peak_nodes;
+            end_time = end_time.max(o.end_time);
+            for (acc, &c) in occ_safe.iter_mut().zip(&o.occ_safe) {
+                *acc += c;
+            }
+            for (acc, &c) in occ_poll.iter_mut().zip(&o.occ_poll) {
+                *acc += c;
+            }
+            // Block b ran on worker b mod shards.
+            shard_events[b % shards] += o.events;
+            shard_seconds[b % shards] += o.seconds;
         }
+        // Hang up before joining, so a worker still sending after another
+        // one panicked fails instead of waiting for the fold.
+        drop(rxs);
         handles
             .into_iter()
             .map(|h| h.join().expect("DES shard panicked"))

@@ -11,8 +11,9 @@
 //! * [`Matrix`] — row-major dense `f64` matrix with the usual algebra,
 //!   sub-matrix extraction by index sets (needed to carve `M_S`, `M_SP`, …
 //!   out of a partitioned transition matrix), and stochasticity checks.
-//! * [`Lu`] — LU decomposition with partial pivoting, linear solves
-//!   (`Ax = b`, `xA = b`), inverses and determinants.
+//! * [`Lu`] — LU decomposition with partial pivoting and linear solves
+//!   (`Ax = b`, `xA = b`), skipping the zeros outside a banded matrix's
+//!   band.
 //! * [`sparse::CsrMatrix`] — compressed sparse row matrix with fast
 //!   vector–matrix iteration, used for the overlay-level computation
 //!   `α (T/n + (1−1/n) I)^m` (a binomial mixture of pushes through `T`).
@@ -28,14 +29,13 @@
 //! # Example
 //!
 //! ```
-//! use pollux_linalg::Matrix;
+//! use pollux_linalg::{Lu, Matrix};
 //!
 //! # fn main() -> Result<(), pollux_linalg::LinalgError> {
 //! // Expected steps to absorption of a gambler's ruin from the middle state:
-//! // N = (I - Q)^{-1}, t = N 1.
+//! // t = (I - Q)^{-1} 1, i.e. the solution of (I - Q) t = 1.
 //! let q = Matrix::from_rows(&[&[0.0, 0.5], &[0.5, 0.0]])?;
-//! let n = (&Matrix::identity(2) - &q).inverse()?;
-//! let t = n.mul_vec(&[1.0, 1.0]);
+//! let t = Lu::decompose(&(&Matrix::identity(2) - &q))?.solve(&[1.0, 1.0])?;
 //! assert!((t[0] - 2.0).abs() < 1e-12);
 //! # Ok(())
 //! # }

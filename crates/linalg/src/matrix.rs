@@ -146,6 +146,11 @@ impl Matrix {
         &self.data
     }
 
+    /// Mutably borrows the backing row-major storage.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Borrows one row as a slice.
     ///
     /// # Panics
@@ -336,16 +341,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().map(|v| v * s).collect(),
         }
-    }
-
-    /// Computes the matrix inverse via LU decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] when the matrix is singular and
-    /// [`LinalgError::InvalidDimensions`] when it is not square.
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        crate::Lu::decompose(self)?.inverse()
     }
 
     /// Entry-wise check against another matrix.

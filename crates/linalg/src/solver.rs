@@ -4,9 +4,14 @@
 //! absorption, absorption probabilities, sojourn moments, hitting
 //! probabilities — reduces to solves against `I − Q` where `Q` is the
 //! (sub-stochastic) transient block of a Markov chain. Dense LU is exact
-//! but O(n³) time / O(n²) memory; the transient blocks themselves are
-//! extremely sparse (a handful of successors per state), so large chains
-//! want an O(nnz)-per-sweep iterative method instead.
+//! and [`Lu`] skips the zeros outside the band: the cluster chain's
+//! states are enumerated `s`-major and every event moves the spare count
+//! `s` by at most one, so its blocks have half-bandwidths of about one
+//! spare level, `(C + 1)(Δ + 1)` states, and factoring costs
+//! O(n·(C·Δ)²) time instead of O(n³). The dense factors still take
+//! O(n²) memory, while the transient blocks themselves are extremely
+//! sparse (a handful of successors per state), so large chains want an
+//! O(nnz)-per-sweep iterative method instead.
 //!
 //! [`TransientSolver`] packages the crossover: below
 //! [`SolverOptions::crossover`] states it densifies `I − Q` and factors it
@@ -54,7 +59,11 @@ use crate::{LinalgError, Lu, Matrix};
 
 /// Default state-count threshold at which [`TransientSolver`] switches
 /// from dense LU to the sparse iterative path. Every chain of the paper's
-/// own evaluation (≤ ~1000 states) stays on the bit-stable dense path.
+/// own evaluation (≤ ~1000 states) stays on the bit-stable dense path,
+/// where the band elimination factors the cluster chain's `s`-major
+/// blocks in O(n·p·(p + q)) for half-bandwidths `p`, `q` of about one
+/// spare level (at `C = 7, Δ = 14`, the 832-unknown transient block has
+/// `p` = 124 and `q` = 112) instead of O(n³).
 pub const DEFAULT_SPARSE_CROSSOVER: usize = 1024;
 
 /// Relative residual tolerance of the iterative path.
@@ -219,7 +228,7 @@ impl TransientSolver {
                     a[(i, j)] -= v;
                 }
             }
-            Repr::Dense(Box::new(Lu::decompose(&a)?))
+            Repr::Dense(Box::new(Lu::decompose_owned(a)?))
         } else {
             let diag: Vec<f64> = (0..n).map(|i| 1.0 - q.get(i, i)).collect();
             if let Some(i) = diag.iter().position(|&d| d <= 0.0) {
