@@ -13,7 +13,8 @@
 //!   (Figure 1).
 //! * [`ClusterChain`] — the exact transition matrix of Figure 2, built
 //!   from the overlay operations, Property 1 (limited identifier
-//!   lifetimes, survival probability `d`) and the adversary's Rules 1–2.
+//!   lifetimes, survival probability `d`) and the adversary's Rules 1–2;
+//!   a [`DefenseFold`] is a countermeasure exactly as the builder reads it.
 //! * [`InitialCondition`] — the paper's initial distributions `δ`
 //!   (attack-free start) and `β` (binomially pre-polluted, Relation 3).
 //! * [`ClusterAnalysis`] — every cluster-level metric of Section VII:
@@ -62,6 +63,7 @@
 mod analysis;
 pub mod des_overlay;
 pub mod duel;
+mod fold;
 mod initial;
 mod overlay_analysis;
 pub mod overlay_sim;
@@ -72,6 +74,7 @@ mod state;
 mod transition;
 
 pub use analysis::{AbsorptionSplit, AnalysisMode, ClusterAnalysis};
+pub use fold::DefenseFold;
 pub use initial::InitialCondition;
 pub use overlay_analysis::{OverlayModel, ProportionPoint};
 pub use params::{AdversaryToggles, ModelParams, ParamsError};

@@ -21,11 +21,12 @@
 use std::sync::OnceLock;
 
 use pollux_adversary::{rules, ClusterView};
-use pollux_defense::{effective_join_admission, effective_survival, Defense, NullDefense};
+use pollux_defense::{Defense, NullDefense};
 use pollux_markov::{Dtmc, SparseDtmc};
 use pollux_prob::hypergeometric_q;
 
-use crate::{ClusterState, ModelParams, ModelSpace, StateClass};
+use crate::fold::StateHooks;
+use crate::{ClusterState, DefenseFold, ModelParams, ModelSpace, StateClass};
 
 /// The cluster chain: the enumerated space `Ω` plus the validated
 /// transition matrix `M` of Figure 2.
@@ -79,11 +80,17 @@ impl ClusterChain {
     ///   the honest maintenance redraw runs unless the cluster stays
     ///   polluted and biased);
     /// * join outcomes are scaled by the
-    ///   [`effective_join_admission`] probability (join-rate shaping and
-    ///   the cluster-size-adaptation taper), the remainder self-looping;
+    ///   [`effective_join_admission`](pollux_defense::effective_join_admission)
+    ///   probability (join-rate shaping and the cluster-size-adaptation
+    ///   taper), the remainder self-looping;
     /// * every survival probability `d^count` uses
-    ///   [`effective_survival`]'s `d_eff` instead of `d` (incarnation
-    ///   refresh shortens the adversary's lifetimes).
+    ///   [`effective_survival`](pollux_defense::effective_survival)'s
+    ///   `d_eff` instead of `d` (incarnation refresh shortens the
+    ///   adversary's lifetimes).
+    ///
+    /// The hooks are read once per transient state into a
+    /// [`DefenseFold`], and the chain is built from the fold
+    /// ([`ClusterChain::build_with_fold`]).
     ///
     /// With [`NullDefense`] every fold is the exact neutral element and
     /// the matrix is **bit-identical** to [`ClusterChain::build`]
@@ -94,19 +101,41 @@ impl ClusterChain {
     /// # Panics
     ///
     /// As [`ClusterChain::build`]; a defense hook returning values
-    /// outside its documented range surfaces here as a stochasticity
-    /// failure.
+    /// outside its documented range (NaN included) surfaces here as a
+    /// stochasticity failure.
     pub fn build_with_defense<D: Defense + ?Sized>(params: &ModelParams, defense: &D) -> Self {
+        Self::build_with_fold(params, &DefenseFold::new(params, defense))
+    }
+
+    /// Builds the chain for `params` from a defense already folded by
+    /// [`DefenseFold::new`]. The fold is the only place the builder reads
+    /// a defense, so equal folds give bit-identical chains.
+    ///
+    /// # Panics
+    ///
+    /// As [`ClusterChain::build_with_defense`], and when `fold` was made
+    /// for another core size or maximal spare size than `params`.
+    pub fn build_with_fold(params: &ModelParams, fold: &DefenseFold) -> Self {
+        assert!(
+            (fold.core_size(), fold.max_spare()) == (params.core_size(), params.max_spare()),
+            "fold made for C = {}, Δ = {} cannot build a chain with C = {}, Δ = {}",
+            fold.core_size(),
+            fold.max_spare(),
+            params.core_size(),
+            params.max_spare()
+        );
         let space = ModelSpace::new(params);
         let n = space.len();
         let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(n * 16);
+        let mut hooks = fold.states();
 
         for (i, state) in space.iter() {
             if state.classify(params).is_absorbing() {
                 triplets.push((i, i, 1.0));
                 continue;
             }
-            for (target, prob) in transitions_from(params, state, defense) {
+            let at = hooks.next().expect("a fold covers every transient state");
+            for (target, prob) in transitions_from(params, state, at) {
                 debug_assert!(
                     target.is_consistent(params),
                     "builder produced {target} outside Ω from {state}"
@@ -156,14 +185,15 @@ impl ClusterChain {
 /// Enumerates the outgoing transitions of one transient state as
 /// `(target, probability)` pairs (targets may repeat; the builder sums).
 ///
-/// The defense folds enter exactly three places: the per-event induced-
-/// churn preemption (weight `eta`), the join-admission scaling `g`, and
-/// the effective survival probability `d_eff`. All three are neutral
-/// no-ops (bit-identical weights) under [`NullDefense`].
-fn transitions_from<D: Defense + ?Sized>(
+/// The defense's hook values at this state enter exactly three places:
+/// the per-event induced-churn preemption (weight `eta`), the
+/// join-admission scaling `g`, and the effective survival probability
+/// `d_eff`. All three are neutral no-ops (bit-identical weights) under
+/// [`NullDefense`].
+fn transitions_from(
     params: &ModelParams,
     st: &ClusterState,
-    defense: &D,
+    hooks: StateHooks,
 ) -> Vec<(ClusterState, f64)> {
     let mut out = Vec::with_capacity(32);
     let (s, x, y) = (st.s, st.x, st.y);
@@ -177,10 +207,13 @@ fn transitions_from<D: Defense + ?Sized>(
 
     let view =
         ClusterView::new(c_size, delta, s, x, y).expect("transient states are consistent views");
-    let eta = defense.induced_churn(&view);
-    debug_assert!((0.0..1.0).contains(&eta), "induced_churn = {eta}");
-    let g = effective_join_admission(defense, &view);
-    let d = effective_survival(defense, &view, params.d());
+    let StateHooks {
+        eta,
+        admission: g,
+        refresh,
+    } = hooks;
+    // `effective_survival`'s expression, so `d_eff` keeps its bits.
+    let d = params.d() * (1.0 - refresh);
 
     // The normal join/leave event carries the mass the defense does not
     // preempt; `1 − 0 = 1` and `0.5 · 1 = 0.5` exactly, so the undefended
@@ -779,6 +812,83 @@ mod tests {
             defended.prob(&low, &low_up).to_bits(),
             plain.prob(&low, &low_up).to_bits()
         );
+    }
+
+    /// FNV-1a over a chain's CSR, word by word: every entry's row,
+    /// column and value bits, in storage order.
+    fn csr_digest(chain: &ClusterChain) -> (usize, u64) {
+        let m = chain.sparse_dtmc().matrix();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..m.rows() {
+            for (j, v) in m.row_entries(i) {
+                for word in [i as u64, j as u64, v.to_bits()] {
+                    h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        (m.nnz(), h)
+    }
+
+    #[test]
+    fn defended_chains_match_the_per_state_hook_builder() {
+        // Pinned to the bits of the builder that called the defense
+        // hooks inline at every state, before the chain was built from a
+        // `DefenseFold`: the fold must reproduce every CSR value.
+        use pollux_defense::DefenseSpec;
+        let specs = [
+            DefenseSpec::Null,
+            DefenseSpec::InducedChurn { rate: 0.15 },
+            DefenseSpec::IncarnationRefresh {
+                period: 5.0,
+                detection_prob: 0.8,
+            },
+            DefenseSpec::AdaptiveClusterSize {
+                target_fraction: 0.5,
+            },
+        ];
+        let paper = ModelParams::paper_defaults()
+            .with_mu(0.3)
+            .with_d(0.9)
+            .with_k(3)
+            .unwrap();
+        let ablated = ModelParams::new(4, 10, 4)
+            .unwrap()
+            .with_mu(0.2)
+            .with_d(0.8)
+            .with_toggles(AdversaryToggles {
+                rule2: false,
+                ..AdversaryToggles::all()
+            });
+        let golden: [(usize, u64); 8] = [
+            (1354, 0x6796_3c3c_4094_859c),
+            (1354, 0x4002_611d_85df_c0e0),
+            (1354, 0x5571_8ff3_4dd0_afc9),
+            (1356, 0xe1b6_4a3b_cf78_cb28),
+            (1969, 0x2036_7c27_8264_3c52),
+            (1969, 0xd306_39b3_8ae0_7dcf),
+            (1969, 0x2d15_4199_8276_c953),
+            (1973, 0x9ba0_afa1_69ec_2ebc),
+        ];
+        let mut want = golden.iter();
+        for params in [paper, ablated] {
+            for spec in &specs {
+                let defense = spec.build().unwrap();
+                let chain = ClusterChain::build_with_defense(&params, defense.as_ref());
+                assert_eq!(
+                    csr_digest(&chain),
+                    *want.next().unwrap(),
+                    "{params} {}",
+                    spec.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fold made for C = 4")]
+    fn a_fold_of_another_shape_is_refused() {
+        let fold = DefenseFold::new(&ModelParams::new(4, 7, 1).unwrap(), &NullDefense::new());
+        ClusterChain::build_with_fold(&ModelParams::paper_defaults(), &fold);
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl TransientSolver {
     /// # Errors
     ///
     /// * [`LinalgError::InvalidDimensions`] if `q` is not square, has a
-    ///   negative entry, or a row sums to more than 1 (plus a small
+    ///   negative or NaN entry, or a row sums to more than 1 (plus a small
     ///   tolerance) — such a matrix is not a transient block.
     /// * [`LinalgError::Singular`] if the densified system is singular
     ///   (the block contains a closed class).
@@ -204,9 +204,11 @@ impl TransientSolver {
         for i in 0..n {
             let mut sum = 0.0;
             for (_, v) in q.row_entries(i) {
-                if v < 0.0 {
+                // NaN passes `v < 0.0`; with no NaN or −∞ entry the row
+                // sum cannot be NaN, so the sum check below is sound.
+                if v < 0.0 || v.is_nan() {
                     return Err(LinalgError::InvalidDimensions(format!(
-                        "transient block row {i} has negative entry {v}"
+                        "transient block row {i} has negative or NaN entry {v}"
                     )));
                 }
                 sum += v;
@@ -728,7 +730,9 @@ fn retuned_omega(omega: f64, mu: f64, omega_cap: f64) -> f64 {
     next.clamp(1.0, omega_cap)
 }
 
-/// `‖b − (I − M) x‖_∞` with `M` given row-wise and `diag[i] = 1 − M_ii`.
+/// `‖b − (I − M) x‖_∞` with `M` given row-wise and `diag[i] = 1 − M_ii`;
+/// NaN when any row's residual is NaN (`f64::max` would drop it and let
+/// a NaN solution pass the caller's tolerance check).
 fn residual_inf(m: &CsrMatrix, diag: &[f64], x: &[f64], b: &[f64]) -> f64 {
     let mut worst = 0.0f64;
     for i in 0..m.rows() {
@@ -737,6 +741,9 @@ fn residual_inf(m: &CsrMatrix, diag: &[f64], x: &[f64], b: &[f64]) -> f64 {
             if j != i {
                 r += v * x[j];
             }
+        }
+        if r.is_nan() {
+            return f64::NAN;
         }
         worst = worst.max(r.abs());
     }
@@ -790,6 +797,23 @@ mod tests {
             }
         }
         CsrMatrix::from_triplet_vec(n, n, triplets).unwrap()
+    }
+
+    #[test]
+    fn nan_blocks_are_rejected_on_both_paths() {
+        let q = CsrMatrix::from_triplets(2, 2, &[(0, 1, f64::NAN), (1, 0, 0.5)]).unwrap();
+        for options in [SolverOptions::default(), SolverOptions::force_sparse()] {
+            assert!(TransientSolver::new(&q, options).is_err());
+        }
+    }
+
+    #[test]
+    fn a_nan_residual_is_not_dropped() {
+        let q = ruin_block(4, 0.5);
+        let diag = vec![1.0; 4];
+        let b = vec![1.0; 4];
+        assert!(residual_inf(&q, &diag, &[0.0, f64::NAN, 0.0, 0.0], &b).is_nan());
+        assert_eq!(residual_inf(&q, &diag, &[0.0; 4], &b), 1.0);
     }
 
     #[test]

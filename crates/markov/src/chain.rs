@@ -61,8 +61,8 @@ impl Dtmc {
     /// # Errors
     ///
     /// Returns [`MarkovError::NotStochastic`] when the matrix is not
-    /// square, has a negative entry, or a row sum differs from 1 by more
-    /// than `1e-9`.
+    /// square, has a negative or NaN entry, or a row sum differs from 1
+    /// by more than `1e-9`.
     pub fn new(p: Matrix) -> Result<Self, MarkovError> {
         if !p.is_square() {
             return Err(MarkovError::NotStochastic(format!(
@@ -75,9 +75,11 @@ impl Dtmc {
         for i in 0..p.rows() {
             let mut sum = 0.0;
             for &v in p.row(i).iter() {
-                if v < -1e-15 {
+                // NaN passes `v < -1e-15`; with no NaN or −∞ entry the
+                // row sum cannot be NaN, so the sum check below is sound.
+                if v < -1e-15 || v.is_nan() {
                     return Err(MarkovError::NotStochastic(format!(
-                        "row {i} has negative entry {v}"
+                        "row {i} has negative or NaN entry {v}"
                     )));
                 }
                 sum += v;
@@ -267,6 +269,12 @@ mod tests {
         assert!(Dtmc::from_rows(&[&[0.5, 0.5], &[0.5, 0.4]]).is_err());
         assert!(Dtmc::from_rows(&[&[1.5, -0.5], &[0.5, 0.5]]).is_err());
         assert!(Dtmc::new(Matrix::zeros(2, 3)).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_nan() {
+        assert!(Dtmc::from_rows(&[&[f64::NAN, 1.0], &[0.5, 0.5]]).is_err());
+        assert!(Dtmc::new(Matrix::from_rows(&[&[0.0, f64::NAN], &[0.5, 0.5]]).unwrap()).is_err());
     }
 
     #[test]

@@ -45,8 +45,8 @@ impl SparseDtmc {
     /// # Errors
     ///
     /// Returns [`MarkovError::NotStochastic`] when the matrix is not
-    /// square, has a negative entry, or a row sum differs from 1 by more
-    /// than `1e-9`.
+    /// square, has a negative or NaN entry, or a row sum differs from 1
+    /// by more than `1e-9`.
     pub fn new(p: CsrMatrix) -> Result<Self, MarkovError> {
         if p.rows() != p.cols() {
             return Err(MarkovError::NotStochastic(format!(
@@ -59,9 +59,11 @@ impl SparseDtmc {
         for i in 0..p.rows() {
             let mut sum = 0.0;
             for (_, v) in p.row_entries(i) {
-                if v < -1e-15 {
+                // NaN passes `v < -1e-15`; with no NaN or −∞ entry the
+                // row sum cannot be NaN, so the sum check below is sound.
+                if v < -1e-15 || v.is_nan() {
                     return Err(MarkovError::NotStochastic(format!(
-                        "row {i} has negative entry {v}"
+                        "row {i} has negative or NaN entry {v}"
                     )));
                 }
                 sum += v;
@@ -236,6 +238,10 @@ mod tests {
         );
         let rect = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
         assert!(SparseDtmc::new(rect).is_err());
+        // A NaN entry is rejected, through either constructor.
+        assert!(SparseDtmc::from_triplets(2, vec![(0, 1, f64::NAN), (1, 0, 1.0)]).is_err());
+        let nan = CsrMatrix::from_triplets(2, 2, &[(0, 0, f64::NAN), (1, 1, 1.0)]).unwrap();
+        assert!(SparseDtmc::new(nan).is_err());
     }
 
     #[test]

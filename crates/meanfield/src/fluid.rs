@@ -43,7 +43,7 @@
 //! and `C₁`, and every later μ evaluation is a fused multiply-add.
 
 use crate::error::MeanFieldError;
-use pollux::{ClusterChain, InitialCondition, ModelParams, ModelSpace};
+use pollux::{ClusterChain, DefenseFold, InitialCondition, ModelParams, ModelSpace};
 use pollux_defense::{Defense, NullDefense};
 use pollux_linalg::sparse::CsrMatrix;
 use pollux_linalg::{SolverOptions, TransientSolver};
@@ -149,7 +149,8 @@ impl FluidModel {
     /// probabilities, exactly as
     /// [`ClusterChain::build_with_defense`] folds it into the exact
     /// chain. The defense hooks depend only on the cluster view, never
-    /// on μ, so the affine-μ decomposition survives any defense.
+    /// on μ, so one [`DefenseFold`] builds both probe chains and the
+    /// affine-μ decomposition survives any defense.
     ///
     /// # Errors
     ///
@@ -159,8 +160,18 @@ impl FluidModel {
         defense: &D,
         initial: &InitialCondition,
     ) -> Result<Self, MeanFieldError> {
-        let lo = ClusterChain::build_with_defense(&params.with_mu(0.0), defense);
-        let hi = ClusterChain::build_with_defense(&params.with_mu(MU_PROBE), defense);
+        FluidModel::build_with_fold(params, &DefenseFold::new(params, defense), initial)
+    }
+
+    /// [`FluidModel::build_with_defense`] from a defense already folded
+    /// for `params`' `(C, Δ)`.
+    pub(crate) fn build_with_fold(
+        params: &ModelParams,
+        fold: &DefenseFold,
+        initial: &InitialCondition,
+    ) -> Result<Self, MeanFieldError> {
+        let lo = ClusterChain::build_with_fold(&params.with_mu(0.0), fold);
+        let hi = ClusterChain::build_with_fold(&params.with_mu(MU_PROBE), fold);
         let space = ModelSpace::new(params);
         let alpha = initial.distribution(&space)?;
         let n = space.len();

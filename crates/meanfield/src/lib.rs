@@ -31,8 +31,9 @@
 //!   induced-churn rate replacing `defense_frontier`'s grid search,
 //!   verified against the exact chain ([`tune_induced_churn`]).
 //! * [`whatif`] — planet-scale what-if cells
-//!   ([`planet_scale_what_if`]), each a sparse solve plus a capped
-//!   power iteration: < 1 ms for 10⁹ nodes.
+//!   ([`planet_scale_what_if`]): a cold cell is a sparse solve plus a
+//!   capped power iteration, < 1 ms for 10⁹ nodes; a repeat comes from
+//!   a bounded memo keyed by the exact inputs, in microseconds.
 //!
 //! Validation contract: the open-model stationary fractions coincide
 //! with [`ClusterAnalysis::steady_state_fractions`](pollux::ClusterAnalysis::steady_state_fractions)
@@ -50,9 +51,12 @@
 //! let model = FluidModel::build(&params, &InitialCondition::Delta)?;
 //! let eq = model.open_equilibrium()?;
 //! assert!(eq.polluted_fraction < 1.0);
-//! // A billion-node what-if, microseconds later.
+//! // A billion-node what-if: under a millisecond cold…
 //! let answer = planet_scale_what_if(&params, &InitialCondition::Delta, 1e9, 1.0)?;
 //! assert!(answer.expected_polluted_nodes >= 0.0);
+//! // …and microseconds when asked again, with the same bits.
+//! let again = planet_scale_what_if(&params, &InitialCondition::Delta, 1e9, 1.0)?;
+//! assert_eq!(again.polluted_fraction.to_bits(), answer.polluted_fraction.to_bits());
 //! # Ok::<(), pollux_meanfield::MeanFieldError>(())
 //! ```
 
