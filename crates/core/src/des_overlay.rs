@@ -1,10 +1,11 @@
-//! `pollux-des`-driven whole-overlay simulation at production scale.
+//! Whole-overlay discrete-event simulation at production scale.
 //!
 //! [`crate::simulation`] replays one cluster per replication and
 //! [`crate::overlay_sim`] steps `n` abstract chain states round-robin;
 //! this module runs the **actual overlay** — every node of every cluster —
-//! as a continuous-time discrete-event simulation on the
-//! [`pollux_des`] engine, at 10⁵–10⁶ nodes:
+//! as a continuous-time discrete-event simulation at 10⁵–10⁶ nodes, on
+//! [`pollux_des`]'s clock, churn coin, stream seeding and Welford
+//! statistics:
 //!
 //! * every cluster owns an independent Poisson arrival stream whose
 //!   arrivals flip the paper's balanced join/leave coin
@@ -181,11 +182,27 @@ use crate::{
     AdversaryToggles, ClusterState, InitialCondition, ModelParams, ModelSpace, StateClass,
 };
 
-/// Provenance only, re-exported for benchmarks that print it: this
-/// module's runs use no future-event list (see the module docs' block
-/// plan), so the value names the generic engine's queue, not one a run
-/// used.
-pub use pollux_des::QueueBackend;
+/// The queue-backend selector, kept for provenance only: a benchmark
+/// that records which future-event list a result was measured on still
+/// prints [`QueueBackend::resolve`]. This module's runs use no
+/// future-event list (see the module docs' block plan), so the value
+/// names the 4-ary heap the DES once ran on, not one a run used.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum QueueBackend {
+    /// The default; resolves to [`QueueBackend::Heap`].
+    #[default]
+    Auto,
+    /// The 4-ary min-heap the DES once ran on.
+    Heap,
+}
+
+impl QueueBackend {
+    /// The backend a run records: always [`QueueBackend::Heap`].
+    #[must_use]
+    pub fn resolve(self) -> QueueBackend {
+        QueueBackend::Heap
+    }
+}
 
 /// Configuration of a whole-overlay discrete-event run.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,7 +300,8 @@ impl DesOverlayConfig {
 pub struct DesOverlayReport {
     /// Number of clusters simulated.
     pub n_clusters: usize,
-    /// Nodes alive at `t = 0` (core plus spares over all clusters).
+    /// Nodes alive at `t = 0`: core plus spares over every cluster not
+    /// born absorbed.
     pub initial_nodes: u64,
     /// Sum of per-cluster peak concurrent node counts — the arena
     /// capacity the run actually touched (each cluster's peak is reached
@@ -375,7 +393,8 @@ impl DesOverlayReport {
 pub struct DesShardStats {
     /// Events processed by each shard, in shard order.
     pub shard_events: Vec<u64>,
-    /// Wall-clock seconds each shard's event loops ran.
+    /// Wall-clock seconds each shard spent playing its clusters: seeding
+    /// each one at the start of its turn, then its event loop.
     pub shard_seconds: Vec<f64>,
 }
 
@@ -540,7 +559,8 @@ struct BlockOutcome {
     /// transient-polluted (exact integers: summable in any order).
     occ_safe: Vec<u64>,
     occ_poll: Vec<u64>,
-    /// Wall-clock seconds of the block's event loop.
+    /// Wall-clock seconds of the block's per-cluster pass (seeding and
+    /// event loops).
     seconds: f64,
 }
 
@@ -600,6 +620,7 @@ struct BlockSim<'a, S: Strategy, D: Defense + ?Sized, R: Recorder> {
     /// Reusable maintenance scratch: core slots awaiting promotion.
     empty_slots: Vec<usize>,
     // Accumulators.
+    initial_nodes: u64,
     events: u64,
     safe_event_total: u64,
     poll_event_total: u64,
@@ -1129,16 +1150,27 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder> BlockSim<'_, S, D, R> {
         self.acct[l].next_sample = idx as u32;
     }
 
-    /// The block's event loop, cluster-major: plays each cluster's own
-    /// arrival stream from its first arrival to its end before the next
-    /// cluster starts. A cluster draws only from its own stream and no
-    /// event reads another cluster's state, so the order the clusters are
-    /// played in changes no report byte.
+    /// The block's event loop, cluster-major: seeds each cluster and
+    /// plays its own arrival stream from its first arrival to its end
+    /// before the next cluster starts. A cluster draws only from its own
+    /// stream, in the order seed → first gap → events, and no event reads
+    /// another cluster's state, so the order the clusters are played in
+    /// changes no report byte.
     fn run(&mut self) {
+        let c_size = self.c_size() as u64;
         let delta = self.delta();
         let quorum = self.params.quorum();
         let sampling = !self.sample_times.is_empty();
         for li in 0..self.acct.len() {
+            // The cluster's first draw is its start state, materialized
+            // as concrete members. It joins the overlay's population at
+            // t = 0 with C core members plus its spares, unless it was
+            // born absorbed and retired its memberships on the spot.
+            self.seed_cluster(li, SimTime::ZERO);
+            let ctr = self.acct[li].ctr;
+            if ctr.status == ClusterStatus::Transient {
+                self.initial_nodes += c_size + u64::from(ctr.s);
+            }
             // The cluster's clock: its arrivals are the running sums of
             // its own gaps.
             let mut t = SimTime::ZERO;
@@ -1286,7 +1318,7 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder> BlockSim<'_, S, D, R> {
             regen_events: self.regen_events,
             absorption_counts: self.absorption_counts,
             censored,
-            initial_nodes: 0, // filled by the caller right after init
+            initial_nodes: self.initial_nodes,
             peak_nodes,
             end_time: self.end_time,
             safe_w: self.safe_w,
@@ -1341,6 +1373,7 @@ fn run_block<S: Strategy, D: Defense + ?Sized, R: Recorder>(
         labels: Vec::with_capacity(count),
         pool: Vec::with_capacity(c_size + delta),
         empty_slots: Vec::with_capacity(c_size),
+        initial_nodes: 0,
         events: 0,
         safe_event_total: 0,
         poll_event_total: 0,
@@ -1376,29 +1409,10 @@ fn run_block<S: Strategy, D: Defense + ?Sized, R: Recorder>(
         });
     }
 
-    // Populate the block's clusters: each draws its start state from the
-    // initial distribution (first draw of its stream) and materializes
-    // concrete members for it.
-    for l in 0..count {
-        block.seed_cluster(l, SimTime::ZERO);
-    }
-    // The overlay's population at t = 0: every cluster still open after
-    // seeding holds C core members plus its spares (a cluster born
-    // absorbed retired its memberships on the spot, exactly as the old
-    // arena accounting had it).
-    let initial_nodes: u64 = block
-        .acct
-        .iter()
-        .filter(|a| a.ctr.status == ClusterStatus::Transient)
-        .map(|a| c_size as u64 + u64::from(a.ctr.s))
-        .sum();
-
     let start = std::time::Instant::now();
     block.run();
     let seconds = start.elapsed().as_secs_f64();
-    let (mut outcome, rec) = block.into_outcome(seconds);
-    outcome.initial_nodes = initial_nodes;
-    (outcome, rec)
+    block.into_outcome(seconds)
 }
 
 /// Runs one whole-overlay discrete-event simulation (no defense).
@@ -2363,18 +2377,49 @@ mod tests {
     #[test]
     fn regeneration_revives_clusters_born_absorbed() {
         // A Custom initial with mass on an absorbing state: in
-        // regeneration mode those clusters must be scheduled at t = 0 so
-        // their first arrival re-seeds them — the overlay never drains.
+        // regeneration mode those clusters still get arrivals, and the
+        // first one re-seeds them — the overlay never drains.
         let p = params(0.2, 0.8);
         let strategy = TargetedStrategy::new(1, 0.1).unwrap();
         let space = ModelSpace::new(&p);
-        let mut alpha = vec![0.0; space.len()];
         // Half the mass born absorbed (safe merge, s = 0), half at δ.
-        alpha[space.index(&ClusterState::new(0, 0, 0))] = 0.5;
-        alpha[space.index(&ClusterState::new(3, 0, 0))] = 0.5;
-        let initial = InitialCondition::Custom(alpha);
-        let cfg = DesOverlayConfig::new(6, 1.0, 100 << 6).with_regeneration();
+        let alpha = r2_alpha(&space);
+        let initial = InitialCondition::Custom(alpha.clone());
+        let plain = DesOverlayConfig::new(6, 1.0, 100 << 6);
+        let cfg = plain.clone().with_regeneration();
         let r = run_des_overlay(&p, &initial, &strategy, &cfg, 31);
+
+        // The population at t = 0 follows from each cluster's first draw
+        // alone (the stream contract): a transient start adds C + s, an
+        // absorbing start adds 0 — at any shard count, with or without
+        // regeneration.
+        let table = AliasTable::new(&alpha).unwrap();
+        let starts: Vec<ClusterState> = (0..64u64)
+            .map(|c| {
+                let mut rng = StdRng::seed_from_u64(replication_seed(31, c));
+                *space.state(table.sample(&mut rng))
+            })
+            .collect();
+        let transient = |st: &ClusterState| {
+            matches!(
+                st.classify(&p),
+                StateClass::TransientSafe | StateClass::TransientPolluted
+            )
+        };
+        let born_absorbed = starts.iter().filter(|st| !transient(st)).count();
+        assert!(0 < born_absorbed && born_absorbed < 64, "{born_absorbed}");
+        let want_initial: u64 = starts
+            .iter()
+            .filter(|st| transient(st))
+            .map(|st| (p.core_size() + st.s) as u64)
+            .sum();
+        for config in [&plain, &cfg] {
+            for shards in [1, 3] {
+                let sharded = config.clone().with_shards(shards);
+                let rs = run_des_overlay(&p, &initial, &strategy, &sharded, 31);
+                assert_eq!(rs.initial_nodes, want_initial, "{shards} shards");
+            }
+        }
         // Every cluster keeps cycling: far more completed cycles than the
         // 64 clusters, and regeneration events from both birth paths.
         assert_eq!(r.events, 100 << 6);
@@ -2397,12 +2442,21 @@ mod tests {
         );
     }
 
-    /// The same half-absorbed/half-δ Custom distribution as above.
+    /// The Custom distribution of the test above: half the mass born
+    /// absorbed (safe merge, s = 0), half at δ.
     fn r2_alpha(space: &ModelSpace) -> Vec<f64> {
         let mut alpha = vec![0.0; space.len()];
         alpha[space.index(&ClusterState::new(0, 0, 0))] = 0.5;
         alpha[space.index(&ClusterState::new(3, 0, 0))] = 0.5;
         alpha
+    }
+
+    #[test]
+    fn explicit_backends_resolve_to_themselves() {
+        assert_eq!(QueueBackend::Heap.resolve(), QueueBackend::Heap);
+        assert_eq!(QueueBackend::Auto.resolve(), QueueBackend::Heap);
+        // The string a benchmark records as its `des_queue` provenance.
+        assert_eq!(format!("{:?}", QueueBackend::Auto.resolve()), "Heap");
     }
 
     #[test]

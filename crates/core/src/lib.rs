@@ -28,9 +28,10 @@
 //! * [`overlay_sim`] — an `n`-cluster competing simulation (validates
 //!   Theorem 2), both driven by pluggable [`pollux_adversary`] strategies.
 //! * [`des_overlay`] — a continuous-time discrete-event simulation of the
-//!   **whole overlay at node granularity** (10⁵–10⁶ nodes) on the
-//!   [`pollux_des`] engine: per-cluster Poisson churn, an index-based node
-//!   arena, prefix-labelled identifiers, and per-cluster sojourn /
+//!   **whole overlay at node granularity** (10⁵–10⁶ nodes) on
+//!   [`pollux_des`]'s clock, churn coin and stream seeding: per-cluster
+//!   Poisson churn, packed malicious-flag bitsets per membership slot,
+//!   prefix-labelled identifiers, and per-cluster sojourn /
 //!   absorption statistics that cross-validate the Markov chain at scales
 //!   state-space enumeration cannot reach — plus a regeneration mode
 //!   whose event fractions estimate the renewal–reward steady state.

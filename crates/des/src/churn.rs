@@ -1,54 +1,11 @@
-//! Churn processes: Poisson arrivals and the join/leave event mix.
+//! The join/leave event mix.
 //!
 //! The paper models the overlay as driven by a stream of join and leave
 //! events with equal probability (`p_j = p_ℓ = 1/2`), uniformly spread over
-//! clusters. [`PoissonProcess`] generates the arrival times;
-//! [`EventMix`] flips the (possibly biased) join/leave coin.
+//! clusters. [`EventMix`] flips that balanced join/leave coin; the arrival
+//! times are exponential gaps drawn by the caller.
 
-use pollux_prob::exponential;
 use rand::RngExt;
-
-use crate::SimTime;
-
-/// A homogeneous Poisson process with the given rate (events per time
-/// unit).
-///
-/// # Example
-///
-/// ```
-/// use pollux_des::{churn::PoissonProcess, SimTime};
-/// use rand::{SeedableRng, rngs::StdRng};
-///
-/// let p = PoissonProcess::new(2.0).unwrap();
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let t1 = p.next_after(SimTime::ZERO, &mut rng);
-/// assert!(t1 > SimTime::ZERO);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoissonProcess {
-    rate: f64,
-}
-
-impl PoissonProcess {
-    /// Creates a process with `rate > 0`, or `None` otherwise.
-    pub fn new(rate: f64) -> Option<Self> {
-        if rate > 0.0 && rate.is_finite() {
-            Some(PoissonProcess { rate })
-        } else {
-            None
-        }
-    }
-
-    /// The event rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Samples the next arrival time strictly after `now`.
-    pub fn next_after<R: rand::Rng + ?Sized>(&self, now: SimTime, rng: &mut R) -> SimTime {
-        now + exponential::sample(rng, self.rate)
-    }
-}
 
 /// The kind of churn event hitting a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,36 +17,19 @@ pub enum ChurnKind {
     Leave,
 }
 
-/// The join/leave coin, `P(Join) = p_join` (the paper uses 1/2).
+/// The paper's balanced join/leave coin, `P(Join) = P(Leave) = 1/2`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventMix {
-    p_join: f64,
-}
+pub struct EventMix;
 
 impl EventMix {
     /// The paper's balanced mix: joins and leaves equally likely.
     pub fn balanced() -> Self {
-        EventMix { p_join: 0.5 }
+        EventMix
     }
 
-    /// A biased mix with join probability `p_join ∈ [0, 1]`, or `None`
-    /// outside that range.
-    pub fn with_join_probability(p_join: f64) -> Option<Self> {
-        if (0.0..=1.0).contains(&p_join) {
-            Some(EventMix { p_join })
-        } else {
-            None
-        }
-    }
-
-    /// The join probability.
-    pub fn p_join(&self) -> f64 {
-        self.p_join
-    }
-
-    /// Flips the coin.
+    /// Flips the coin: one `random_bool(0.5)` draw.
     pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> ChurnKind {
-        if rng.random_bool(self.p_join) {
+        if rng.random_bool(0.5) {
             ChurnKind::Join
         } else {
             ChurnKind::Leave
@@ -103,52 +43,8 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
-    fn poisson_validation() {
-        assert!(PoissonProcess::new(0.0).is_none());
-        assert!(PoissonProcess::new(-1.0).is_none());
-        assert!(PoissonProcess::new(f64::INFINITY).is_none());
-        assert_eq!(PoissonProcess::new(2.5).unwrap().rate(), 2.5);
-    }
-
-    #[test]
-    fn poisson_count_matches_rate() {
-        // Count arrivals in [0, T]; expect ≈ rate * T.
-        let p = PoissonProcess::new(3.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(10);
-        let horizon = 2_000.0;
-        let mut t = SimTime::ZERO;
-        let mut count = 0u64;
-        loop {
-            t = p.next_after(t, &mut rng);
-            if t.value() > horizon {
-                break;
-            }
-            count += 1;
-        }
-        let expected = 3.0 * horizon;
-        // sd = sqrt(lambda) ≈ 77; allow 5 sigma.
-        assert!(
-            (count as f64 - expected).abs() < 5.0 * expected.sqrt(),
-            "count {count} vs {expected}"
-        );
-    }
-
-    #[test]
-    fn arrivals_strictly_increase() {
-        let p = PoissonProcess::new(1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut t = SimTime::ZERO;
-        for _ in 0..1000 {
-            let next = p.next_after(t, &mut rng);
-            assert!(next >= t);
-            t = next;
-        }
-    }
-
-    #[test]
     fn event_mix_balance() {
         let mix = EventMix::balanced();
-        assert_eq!(mix.p_join(), 0.5);
         let mut rng = StdRng::seed_from_u64(12);
         let n = 20_000;
         let joins = (0..n)
@@ -156,16 +52,5 @@ mod tests {
             .count();
         let frac = joins as f64 / n as f64;
         assert!((frac - 0.5).abs() < 0.02, "join fraction {frac}");
-    }
-
-    #[test]
-    fn event_mix_validation_and_bias() {
-        assert!(EventMix::with_join_probability(1.5).is_none());
-        assert!(EventMix::with_join_probability(-0.1).is_none());
-        let all_join = EventMix::with_join_probability(1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(13);
-        for _ in 0..100 {
-            assert_eq!(all_join.sample(&mut rng), ChurnKind::Join);
-        }
     }
 }

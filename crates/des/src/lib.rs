@@ -1,58 +1,50 @@
-//! A small deterministic discrete-event simulation engine.
-//!
-//! The Monte-Carlo side of the Pollux reproduction runs event-level
-//! simulations of clusters and overlays; this crate provides the generic
-//! machinery:
+//! Simulation primitives shared by the Pollux reproduction's Monte-Carlo
+//! paths:
 //!
 //! * [`SimTime`] — simulation clock values with a total order.
-//! * [`EventQueue`] — the future-event list: an index-based 4-ary
-//!   min-heap with deterministic FIFO tie-breaking at equal timestamps.
-//! * [`Simulation`] — the main loop driving a user [`EventHandler`].
-//! * [`churn`] — Poisson arrival processes for churn generation.
+//! * [`churn`] — the paper's balanced join/leave coin.
 //! * [`stats`] — Welford accumulators and summaries with
 //!   normal-approximation confidence intervals.
-//! * [`replication`] — seeded, embarrassingly parallel Monte-Carlo
-//!   replication over OS threads.
+//! * [`replication`] — counter-based stream seeding and seeded,
+//!   embarrassingly parallel Monte-Carlo replication over OS threads.
 //!
-//! The engine is deliberately model-agnostic. The whole-overlay DES,
-//! `pollux::des_overlay` (10⁵–10⁷ nodes), uses this crate's clock,
-//! statistics, churn mix and replication seeding but not its queue: its
-//! clusters are independent, so it plays each cluster's own Poisson
-//! arrival stream to its end, 1024-cluster block by block, instead of
-//! interleaving the streams through an [`EventQueue`].
+//! There is no event loop here. The whole-overlay DES,
+//! `pollux::des_overlay` (10⁵–10⁷ nodes), seeds every cluster's own
+//! stream with [`replication::replication_seed`] and, the clusters being
+//! independent, plays each cluster's Poisson arrivals to their end,
+//! 1024-cluster block by block, with no future-event list; the
+//! single-cluster simulator `pollux::simulation` replicates with
+//! [`replication::run_parallel`].
 //!
 //! # Example
 //!
 //! ```
-//! use pollux_des::{EventHandler, Scheduler, SimTime, Simulation};
+//! use pollux_des::churn::{ChurnKind, EventMix};
+//! use pollux_des::replication::run_parallel;
+//! use pollux_des::stats::Welford;
+//! use rand::{rngs::StdRng, SeedableRng};
 //!
-//! struct Counter(u32);
-//! impl EventHandler for Counter {
-//!     type Event = ();
-//!     fn handle(&mut self, t: SimTime, _ev: (), sched: &mut Scheduler<()>) {
-//!         self.0 += 1;
-//!         if self.0 < 5 {
-//!             sched.schedule(t + 1.0, ());
-//!         }
-//!     }
+//! // Each replication counts the joins among 1 000 balanced coin flips
+//! // drawn from its own seeded stream.
+//! let joins = |_: usize, seed: u64| {
+//!     let mut rng = StdRng::seed_from_u64(seed);
+//!     let mix = EventMix::balanced();
+//!     (0..1_000).filter(|_| mix.sample(&mut rng) == ChurnKind::Join).count() as f64
+//! };
+//! let counts = run_parallel(8, 2011, 1, joins);
+//! // Results come back in replication order at any thread count.
+//! assert_eq!(counts, run_parallel(8, 2011, 4, joins));
+//!
+//! let mut w = Welford::new();
+//! for &c in &counts {
+//!     w.push(c);
 //! }
-//!
-//! let mut sim = Simulation::new(Counter(0));
-//! sim.schedule(SimTime::ZERO, ());
-//! sim.run();
-//! assert_eq!(sim.handler().0, 5);
-//! assert_eq!(sim.now(), SimTime::from(4.0));
+//! assert!((w.mean() - 500.0).abs() < 50.0);
 //! ```
 
-mod backend;
 pub mod churn;
-mod engine;
-mod queue;
 pub mod replication;
 pub mod stats;
 mod time;
 
-pub use backend::QueueBackend;
-pub use engine::{EventHandler, Scheduler, Simulation};
-pub use queue::EventQueue;
 pub use time::SimTime;

@@ -18,8 +18,8 @@ pub fn replication_seed(master_seed: u64, index: u64) -> u64 {
 /// results in replication order.
 ///
 /// `body` must be deterministic in its `(index, seed)` arguments for the
-/// output to be reproducible — the engine guarantees the same seeds are
-/// handed out regardless of scheduling.
+/// output to be reproducible — the same seeds are handed out regardless
+/// of scheduling.
 ///
 /// # Panics
 ///

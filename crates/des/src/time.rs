@@ -5,7 +5,7 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// Internally an `f64` number of abstract time units; construction rejects
 /// NaN so that `Ord` is total. Negative times are allowed (useful for
-/// "before the horizon" sentinels) but never produced by the engine.
+/// "before the horizon" sentinels) but never produced by a simulation.
 ///
 /// # Example
 ///
