@@ -1,5 +1,3 @@
-use pollux_overlay::Cluster;
-
 /// The `(s, x, y)` abstraction of a cluster as observed by the colluding
 /// adversary: spare size `s`, malicious core count `x`, malicious spare
 /// count `y`, together with the size parameters `C` and `Δ`.
@@ -51,18 +49,6 @@ impl ClusterView {
         })
     }
 
-    /// Builds the view of a concrete overlay cluster.
-    pub fn of_cluster(cluster: &Cluster) -> Self {
-        let (s, x, y) = cluster.sxy();
-        ClusterView {
-            core_size: cluster.params().core_size(),
-            max_spare: cluster.params().max_spare(),
-            spare_size: s,
-            malicious_core: x,
-            malicious_spare: y,
-        }
-    }
-
     /// Core size `C`.
     pub fn core_size(&self) -> usize {
         self.core_size
@@ -102,7 +88,6 @@ impl ClusterView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pollux_overlay::{Cluster, ClusterParams, Label, Member, NodeId, PeerId};
 
     #[test]
     fn validation() {
@@ -120,31 +105,5 @@ mod tests {
         let v = ClusterView::new(7, 7, 0, 3, 0).unwrap();
         assert!(v.is_polluted());
         assert_eq!(ClusterView::new(10, 7, 0, 0, 0).unwrap().quorum(), 3);
-    }
-
-    #[test]
-    fn view_of_concrete_cluster() {
-        let params = ClusterParams::new(4, 4).unwrap();
-        let member = |i: u64, m: bool| Member {
-            peer: PeerId(i),
-            malicious: m,
-            id: NodeId::from_data(&i.to_be_bytes()),
-        };
-        let core = vec![
-            member(0, true),
-            member(1, true),
-            member(2, false),
-            member(3, false),
-        ];
-        let spare = vec![member(10, true)];
-        let cl = Cluster::new(Label::root(), params, core, spare).unwrap();
-        let v = ClusterView::of_cluster(&cl);
-        assert_eq!(
-            (v.spare_size(), v.malicious_core(), v.malicious_spare()),
-            (1, 2, 1)
-        );
-        assert_eq!(v.core_size(), 4);
-        assert_eq!(v.max_spare(), 4);
-        assert!(v.is_polluted()); // c = 1, x = 2
     }
 }

@@ -15,14 +15,14 @@
 //! * nodes are concrete: each cluster's core/spare membership slots
 //!   carry one malicious flag per node, packed into u64 bitsets (one
 //!   *bit* per membership — the only node attribute the dynamics ever
-//!   read back). Joins draw fresh 256-bit [`pollux_overlay::NodeId`]s
-//!   inside the cluster's prefix region ([`pollux_overlay::Label`]) and
-//!   validate the prefix routing invariant (the identifiers are
-//!   *write-only* for the dynamics, so nothing retains them),
-//!   departures clear slots, and the `protocol_k` maintenance procedure
-//!   moves real nodes between the core and spare sets (the
-//!   hypergeometric kernel `τ(x, a, b)` of the analytical chain emerges
-//!   from the uniform draws rather than being sampled directly);
+//!   read). Nodes carry no identifier: each node placed by a join or a
+//!   (re-)seeding skips four words of its cluster's stream, kept only so
+//!   that every report keeps the bits it had when those words drew a
+//!   256-bit identifier. Departures clear slots, and the `protocol_k`
+//!   maintenance procedure moves real nodes between the core and spare
+//!   sets (the hypergeometric kernel `τ(x, a, b)` of the analytical
+//!   chain emerges from the uniform draws rather than being sampled
+//!   directly);
 //! * the adversary is pluggable: any [`pollux_adversary::Strategy`]
 //!   drives Rule 1, Rule 2 and the maintenance bias, gated by the
 //!   [`crate::AdversaryToggles`] carried in [`ModelParams`];
@@ -51,8 +51,9 @@
 //! [`rand::rngs::StdRng`] seeded with the SplitMix64 derivation
 //! [`pollux_des::replication::replication_seed`]`(seed, c)` — the same
 //! scheme the sweep pool uses per grid cell. The stream drives, in a
-//! fixed cluster-local order, the cluster's initial-state draw, its node
-//! identifiers, its Poisson inter-arrival gaps and every churn outcome.
+//! fixed cluster-local order, the cluster's initial-state draw, the four
+//! skipped words of each placed node, its Poisson inter-arrival gaps and
+//! every churn outcome.
 //! Clusters are probabilistically independent in the model, so giving
 //! each one a private stream changes no distribution — but it makes every
 //! cluster's entire sample path a function of `(seed, c)` **alone**,
@@ -171,11 +172,8 @@ use pollux_obs::mem::MemoryAudit;
 use pollux_obs::{
     DesEventKind, MetricsRecorder, NullRecorder, Recorder, Registry, TraceRecord, TraceRing,
 };
-#[cfg(debug_assertions)]
-use pollux_overlay::Label;
-use pollux_overlay::NodeId;
 use pollux_prob::{exponential, AliasTable};
-use rand::{rngs::StdRng, RngExt, SeedableRng};
+use rand::{rngs::StdRng, Rng, RngExt, SeedableRng};
 use std::sync::mpsc;
 
 use crate::{
@@ -207,9 +205,9 @@ impl QueueBackend {
 /// Configuration of a whole-overlay discrete-event run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesOverlayConfig {
-    /// The overlay holds `n = 2^cluster_bits` clusters (a power of two so
-    /// cluster labels tile the identifier space evenly). `10` is ~10⁴
-    /// nodes, `14` is ~1.6·10⁵, `17` is ~1.3·10⁶ at the paper's sizes.
+    /// The overlay holds `n = 2^cluster_bits` clusters, at most 2^24.
+    /// `10` is ~10⁴ nodes, `14` is ~1.6·10⁵, `17` is ~1.3·10⁶ at the
+    /// paper's sizes.
     pub cluster_bits: u32,
     /// Per-cluster churn rate (events per simulated time unit); the
     /// overlay-wide arrival rate is `n · lambda`.
@@ -573,8 +571,8 @@ struct BlockOutcome {
 /// Per-cluster state is split into SoA columns by access pattern (see
 /// [`HotCounters`]), and node state is two packed-u64 **malicious-flag
 /// bitsets**: a node's only attribute the dynamics ever read is its
-/// flag (identifiers are drawn, prefix-checked and discarded — see
-/// [`BlockSim::draw_id`]), so the old handle arena + membership tables
+/// flag (nodes carry no identifier — see [`BlockSim::skip_node_words`]),
+/// so the old handle arena + membership tables
 /// (9 bytes/node) collapse into one bit per core/spare *slot*
 /// (~0.125 bytes/node). Set membership is positional: core slot `r` of
 /// local cluster `l` is bit `l·C + r` of `core_mal`, spare slot `j` is
@@ -590,7 +588,6 @@ struct BlockSim<'a, S: Strategy, D: Defense + ?Sized, R: Recorder> {
     lambda: f64,
     /// First global cluster index of the block.
     lo: usize,
-    cluster_bits: u32,
     regenerate: bool,
     /// The initial distribution's sampler and the state table (shared,
     /// read-only).
@@ -608,11 +605,6 @@ struct BlockSim<'a, S: Strategy, D: Defense + ?Sized, R: Recorder> {
     /// Malicious flags of the spare slots: bit `l * Δ + j` (alive below
     /// `ctr[l].s` only).
     spare_mal: Vec<u64>,
-    /// Prefix label of each cluster (depth `cluster_bits`). Read only by
-    /// the prefix-routing debug assertions, so release builds skip the
-    /// per-cluster allocations entirely.
-    #[cfg(debug_assertions)]
-    labels: Vec<Label>,
     /// Reusable maintenance scratch: demotion slot indices, then the
     /// candidate pool as 0/1 malicious flags (pool members carry no
     /// other identity).
@@ -663,25 +655,14 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder> BlockSim<'_, S, D, R> {
         g
     }
 
-    /// Draws a fresh 256-bit identifier uniformly inside cluster `l`'s
-    /// prefix region: random bits with the first `cluster_bits` bits
-    /// forced to the global cluster index (PeerCube routes a joiner to
-    /// the unique cluster whose label prefixes its identifier, so
-    /// conditioning on "this join reached cluster c" is conditioning on
-    /// the prefix). The prefix is blended into the leading four bytes in
-    /// one masked word operation (`cluster_bits ≤ 24`), not bit by bit.
-    fn draw_id(&mut self, l: usize) -> NodeId {
-        let mut bytes = [0u8; 32];
-        self.draw[l].rng.fill(&mut bytes);
-        if self.cluster_bits > 0 {
-            let c = (self.lo + l) as u32;
-            let shift = 32 - self.cluster_bits;
-            let mask = u32::MAX << shift;
-            let head = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-            let blended = (head & !mask) | (c << shift);
-            bytes[..4].copy_from_slice(&blended.to_be_bytes());
+    /// Skips four words of cluster `l`'s stream for each of `nodes`
+    /// placed nodes. Nodes carry no identifier; the skip keeps every
+    /// report's bits from when these words drew a 256-bit one per node.
+    fn skip_node_words(&mut self, l: usize, nodes: usize) {
+        let rng = &mut self.draw[l].rng;
+        for _ in 0..4 * nodes {
+            rng.next_u64();
         }
-        NodeId::from_bytes(bytes)
     }
 
     /// `true` when none of `count` malicious identifiers expired at this
@@ -865,10 +846,7 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder> BlockSim<'_, S, D, R> {
                     true
                 };
                 if accept {
-                    let id = self.draw_id(l);
-                    #[cfg(debug_assertions)]
-                    debug_assert!(self.labels[l].is_prefix_of(&id));
-                    let _ = id; // drawn and checked, deliberately not stored
+                    self.skip_node_words(l, 1);
                     bit_set(&mut self.spare_mal, l * delta + s, malicious);
                     let ctr = &mut self.acct[l].ctr;
                     ctr.s += 1;
@@ -1101,21 +1079,12 @@ impl<S: Strategy, D: Defense + ?Sized, R: Recorder> BlockSim<'_, S, D, R> {
             safe_ev: 0,
             poll_ev: 0,
         };
+        self.skip_node_words(l, c_size + start.s);
         for slot in 0..c_size {
-            let malicious = slot < start.x;
-            let id = self.draw_id(l);
-            #[cfg(debug_assertions)]
-            debug_assert!(self.labels[l].is_prefix_of(&id));
-            let _ = id;
-            bit_set(&mut self.core_mal, l * c_size + slot, malicious);
+            bit_set(&mut self.core_mal, l * c_size + slot, slot < start.x);
         }
         for j in 0..start.s {
-            let malicious = j < start.y;
-            let id = self.draw_id(l);
-            #[cfg(debug_assertions)]
-            debug_assert!(self.labels[l].is_prefix_of(&id));
-            let _ = id;
-            bit_set(&mut self.spare_mal, l * delta + j, malicious);
+            bit_set(&mut self.spare_mal, l * delta + j, j < start.y);
         }
         if !matches!(
             start.classify(self.params),
@@ -1360,7 +1329,6 @@ fn run_block<S: Strategy, D: Defense + ?Sized, R: Recorder>(
         mix: EventMix::balanced(),
         lambda: config.lambda,
         lo,
-        cluster_bits: config.cluster_bits,
         regenerate: config.regenerate,
         table,
         states,
@@ -1369,8 +1337,6 @@ fn run_block<S: Strategy, D: Defense + ?Sized, R: Recorder>(
         acct: Vec::with_capacity(count),
         core_mal: vec![0; bitset_words(count * c_size)],
         spare_mal: vec![0; bitset_words(count * delta)],
-        #[cfg(debug_assertions)]
-        labels: Vec::with_capacity(count),
         pool: Vec::with_capacity(c_size + delta),
         empty_slots: Vec::with_capacity(c_size),
         initial_nodes: 0,
@@ -1391,13 +1357,6 @@ fn run_block<S: Strategy, D: Defense + ?Sized, R: Recorder>(
     };
     for l in 0..count {
         let c = lo + l;
-        #[cfg(debug_assertions)]
-        {
-            let bits: Vec<bool> = (0..config.cluster_bits)
-                .map(|bit| (c >> (config.cluster_bits - 1 - bit)) & 1 == 1)
-                .collect();
-            block.labels.push(Label::from_bits(bits));
-        }
         block.draw.push(DrawState {
             rng: StdRng::seed_from_u64(replication_seed(seed, c as u64)),
             gaps: [0.0; GAP_BATCH],
@@ -2125,6 +2084,34 @@ mod tests {
                     4627730092099895296,
                     4606478731358240768,
                     4580160821035794432,
+                ],
+            )
+        );
+        // Other sizes, pinned to the bits of the engine that drew a
+        // 256-bit identifier per placed node: β seeds C + s = 11–14
+        // nodes per cluster, joins place one at a time up to Δ = 5, and
+        // each maintenance promotes k = 3.
+        let p = ModelParams::new(10, 5, 3)
+            .unwrap()
+            .with_mu(0.3)
+            .with_d(0.85);
+        let strategy = TargetedStrategy::new(p.k(), p.nu()).unwrap();
+        let sizes = run_des_overlay(&p, &InitialCondition::Beta, &strategy, &config(9), 2011);
+        assert_eq!(
+            report_bits(&sizes),
+            (
+                vec![
+                    512, 6396, 6942, 4782, 512, 0, 1644, 3138, 0, 512, 0, 512, 512, 512, 121, 174,
+                    217, 0,
+                ],
+                vec![
+                    4636006642475940924,
+                    4614412807264272378,
+                    4625924586422779103,
+                    4618586553403310076,
+                    4638856168066177903,
+                    4621534435380482978,
+                    4638971325782787761,
                 ],
             )
         );

@@ -5,9 +5,8 @@
 //! number (`id = H(id⁰ × k)`). The reproduction needs a collision-resistant
 //! `H` with uniformly distributed output; SHA-256 (FIPS 180-4) is
 //! implemented here directly so the workspace carries no cryptography
-//! dependency. HMAC (RFC 2104) provides the keyed tags our simulated
-//! certification authority uses in place of RSA signatures — see the
-//! "Cryptography substitution" note in the repository README.
+//! dependency. HMAC (RFC 2104) is the keyed tag a simulated certification
+//! authority would use in place of RSA signatures.
 //!
 //! # Example
 //!

@@ -1,115 +1,13 @@
-//! Limited-lifetime identifier incarnations (Section III-D of the paper).
+//! Limited-lifetime identifier calibration (Section III-D of the paper).
 //!
-//! The current incarnation of a peer whose certificate was created at `t0`
-//! is `k = ⌈(t − t0)/L⌉`, where `L` is the incarnation lifetime; the k-th
-//! incarnation expires when the peer's clock reads `t0 + kL`. Because
-//! clocks of correct peers may deviate by at most `W`, verifiers accept
-//! *two* incarnations around expiry: `k = ⌈(t − W/2 − t0)/L⌉` and
-//! `k' = ⌈(t + W/2 − t0)/L⌉`.
-//!
-//! The module also carries the calibration used throughout the paper's
-//! experiments: `d` is the per-event probability that an identifier has
-//! *not* expired, the half-life is `t½ = ln 2 / (1 − d)`, and
-//! `L = 6.65 · t½` guarantees ≥ 99 % of a population has re-keyed within
-//! one lifetime (`6.65 ≥ ln 100 / ln 2`).
-
-use crate::NodeId;
+//! `d` is the per-event probability that an identifier has *not* expired,
+//! the half-life is `t½ = ln 2 / (1 − d)`, and `L = 6.65 · t½` guarantees
+//! ≥ 99 % of a population has re-keyed within one lifetime
+//! (`6.65 ≥ ln 100 / ln 2`).
 
 /// Factor relating the half-life to the lifetime so that 99 % of a
 /// population decays within `L` (the paper sets `L = 6.65 · t½`).
 pub const LIFETIME_HALFLIFE_FACTOR: f64 = 6.65;
-
-/// Incarnation parameters: lifetime `L` and grace window `W`.
-///
-/// # Example
-///
-/// ```
-/// use pollux_overlay::incarnation::IncarnationPolicy;
-///
-/// let policy = IncarnationPolicy::new(100.0, 4.0).unwrap();
-/// assert_eq!(policy.incarnation(0.0, 50.0), 1);
-/// assert_eq!(policy.incarnation(0.0, 150.0), 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IncarnationPolicy {
-    lifetime: f64,
-    grace: f64,
-}
-
-impl IncarnationPolicy {
-    /// Creates a policy with lifetime `L` and grace window `W`.
-    ///
-    /// Returns `None` when `L ≤ 0`, `W < 0`, or `W ≥ L` (the grace window
-    /// must not span a whole incarnation).
-    pub fn new(lifetime: f64, grace: f64) -> Option<Self> {
-        let valid = lifetime > 0.0 && grace >= 0.0 && grace < lifetime;
-        if !valid {
-            return None;
-        }
-        Some(IncarnationPolicy { lifetime, grace })
-    }
-
-    /// Builds the policy from the paper's per-event survival probability
-    /// `d ∈ (0, 1)`: `L = 6.65 · ln 2 / (1 − d)`.
-    ///
-    /// Returns `None` for `d` outside `(0, 1)` or an invalid grace window.
-    pub fn from_survival_probability(d: f64, grace: f64) -> Option<Self> {
-        if !(0.0 < d && d < 1.0) {
-            return None;
-        }
-        IncarnationPolicy::new(lifetime_from_survival(d), grace)
-    }
-
-    /// The lifetime `L`.
-    pub fn lifetime(&self) -> f64 {
-        self.lifetime
-    }
-
-    /// The grace window `W`.
-    pub fn grace(&self) -> f64 {
-        self.grace
-    }
-
-    /// The peer's own current incarnation at local time `t` for creation
-    /// time `t0`: `max(1, ⌈(t − t0)/L⌉)`.
-    ///
-    /// Times before `t0` clamp to the first incarnation.
-    pub fn incarnation(&self, t0: f64, t: f64) -> u64 {
-        let k = ((t - t0) / self.lifetime).ceil();
-        if k < 1.0 {
-            1
-        } else {
-            k as u64
-        }
-    }
-
-    /// Expiry time of incarnation `k`: `t0 + kL`.
-    pub fn expiry(&self, t0: f64, k: u64) -> f64 {
-        t0 + k as f64 * self.lifetime
-    }
-
-    /// The (one or two) incarnations another correct peer must accept at
-    /// time `t`, per the grace-window rule.
-    pub fn valid_incarnations(&self, t0: f64, t: f64) -> (u64, u64) {
-        let k = self.incarnation(t0, t - self.grace / 2.0);
-        let k_prime = self.incarnation(t0, t + self.grace / 2.0);
-        (k, k_prime)
-    }
-
-    /// `true` when `presented`, claimed by a peer with initial identifier
-    /// `id0` and creation time `t0`, is a valid current identifier at
-    /// verification time `t`.
-    pub fn is_id_valid(&self, id0: &NodeId, t0: f64, presented: &NodeId, t: f64) -> bool {
-        let (k, k_prime) = self.valid_incarnations(t0, t);
-        *presented == id0.derive_incarnation(k)
-            || (k_prime != k && *presented == id0.derive_incarnation(k_prime))
-    }
-
-    /// The valid current identifier a peer uses at local time `t`.
-    pub fn current_id(&self, id0: &NodeId, t0: f64, t: f64) -> NodeId {
-        id0.derive_incarnation(self.incarnation(t0, t))
-    }
-}
 
 /// The paper's calibration `L = 6.65 · t½` with `t½ = ln 2 / (1 − d)`.
 ///
@@ -127,80 +25,15 @@ pub fn lifetime_from_survival(d: f64) -> f64 {
     LIFETIME_HALFLIFE_FACTOR * std::f64::consts::LN_2 / (1.0 - d)
 }
 
-/// Inverse of [`lifetime_from_survival`].
-pub fn survival_from_lifetime(l: f64) -> f64 {
-    assert!(l > 0.0, "lifetime must be positive, got {l}");
-    1.0 - LIFETIME_HALFLIFE_FACTOR * std::f64::consts::LN_2 / l
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_validation() {
-        assert!(IncarnationPolicy::new(10.0, 0.0).is_some());
-        assert!(IncarnationPolicy::new(0.0, 0.0).is_none());
-        assert!(IncarnationPolicy::new(10.0, -1.0).is_none());
-        assert!(IncarnationPolicy::new(10.0, 10.0).is_none());
-        assert!(IncarnationPolicy::from_survival_probability(0.0, 0.0).is_none());
-        assert!(IncarnationPolicy::from_survival_probability(1.0, 0.0).is_none());
-    }
-
-    #[test]
-    fn incarnation_progression() {
-        let p = IncarnationPolicy::new(100.0, 0.0).unwrap();
-        assert_eq!(p.incarnation(0.0, 0.0), 1);
-        assert_eq!(p.incarnation(0.0, 99.9), 1);
-        assert_eq!(p.incarnation(0.0, 100.0), 1); // expires exactly at t0 + L
-        assert_eq!(p.incarnation(0.0, 100.1), 2);
-        assert_eq!(p.incarnation(0.0, 250.0), 3);
-        assert_eq!(p.incarnation(50.0, 140.0), 1);
-        // Pre-t0 clamps.
-        assert_eq!(p.incarnation(100.0, 0.0), 1);
-        assert_eq!(p.expiry(0.0, 2), 200.0);
-    }
-
-    #[test]
-    fn grace_window_straddles_expiry() {
-        let p = IncarnationPolicy::new(100.0, 4.0).unwrap();
-        // Far from expiry: both valid incarnations coincide.
-        assert_eq!(p.valid_incarnations(0.0, 50.0), (1, 1));
-        // Within W/2 of the expiry at t0 + L = 100, both k and k+1 are
-        // acceptable: the window is [100 - W/2, 100 + W/2] = [98, 102].
-        assert_eq!(p.valid_incarnations(0.0, 97.9), (1, 1));
-        assert_eq!(p.valid_incarnations(0.0, 99.0), (1, 2));
-        assert_eq!(p.valid_incarnations(0.0, 101.0), (1, 2));
-        assert_eq!(p.valid_incarnations(0.0, 102.5), (2, 2));
-    }
-
-    #[test]
-    fn id_validity_follows_incarnations() {
-        let p = IncarnationPolicy::new(100.0, 4.0).unwrap();
-        let id0 = NodeId::from_data(b"peer");
-        let id_k1 = id0.derive_incarnation(1);
-        let id_k2 = id0.derive_incarnation(2);
-        assert!(p.is_id_valid(&id0, 0.0, &id_k1, 50.0));
-        assert!(!p.is_id_valid(&id0, 0.0, &id_k2, 50.0));
-        // Near expiry both pass.
-        assert!(p.is_id_valid(&id0, 0.0, &id_k1, 99.0));
-        assert!(p.is_id_valid(&id0, 0.0, &id_k2, 99.0));
-        // After the window only k+1 passes.
-        assert!(!p.is_id_valid(&id0, 0.0, &id_k1, 110.0));
-        assert!(p.is_id_valid(&id0, 0.0, &id_k2, 110.0));
-        assert_eq!(p.current_id(&id0, 0.0, 150.0), id_k2);
-    }
 
     #[test]
     fn lifetime_calibration_matches_paper_captions() {
         // Figure 5: d = 30% ⇒ L = 6.58; d = 90% ⇒ L = 46.05 (paper rounds).
         assert!((lifetime_from_survival(0.3) - 6.58).abs() < 0.05);
         assert!((lifetime_from_survival(0.9) - 46.05).abs() < 0.1);
-        // Round trip.
-        for d in [0.1, 0.3, 0.5, 0.9, 0.99] {
-            let l = lifetime_from_survival(d);
-            assert!((survival_from_lifetime(l) - d).abs() < 1e-12);
-        }
     }
 
     #[test]

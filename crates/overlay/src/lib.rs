@@ -1,34 +1,16 @@
-//! Cluster-based structured overlay substrate.
+//! The identifier-lifetime calibration of the DSN'11 model, and the
+//! identifier space it calibrates.
 //!
-//! This crate implements, from scratch, every overlay-network component the
-//! DSN'11 paper *Modeling and Evaluating Targeted Attacks in Large Scale
-//! Dynamic Systems* assumes (Sections III and IV):
+//! The paper folds identifiers, certificates and routing into the
+//! adversarial fraction `μ` and the per-event survival probability `d`
+//! (Sections III–V). The one overlay quantity the model computes is the
+//! incarnation lifetime `L` that a given `d` stands for, in
+//! [`incarnation::lifetime_from_survival`]; `pollux::ModelParams::lifetime_l`
+//! calls it.
 //!
-//! * [`hash`] — SHA-256 (NIST-vector tested) and HMAC-SHA-256, the `H` of
-//!   the paper's identifier scheme.
-//! * [`NodeId`] / [`Label`] — 256-bit identifiers and the binary prefix
-//!   labels of clusters, with the prefix distance `D` of PeerCube-style
-//!   overlays.
-//! * [`cert`] — X.509-lite certificates issued by a simulated
-//!   certification authority; the certified creation time `t0` anchors the
-//!   limited-lifetime identifier scheme.
-//! * [`incarnation`] — identifier incarnations `k = ⌈(t − t0)/L⌉` with the
-//!   grace window `W` (Section III-D, Property 1).
-//! * [`Peer`] / [`PeerRegistry`] — the universe `U` of peers, a fraction
-//!   `μ` of which is controlled by the adversary.
-//! * [`Cluster`] — core/spare role separation with the pollution predicate
-//!   `x > c = ⌊(C−1)/3⌋`.
-//! * [`ops`] — the four robust operations `join`, `leave` (with the
-//!   `k`-randomized core-maintenance procedure of `protocol_k`), `split`
-//!   and `merge`.
-//! * [`consensus`] — a round-based simulated Byzantine-tolerant agreement
-//!   used by the maintenance and split procedures.
-//! * [`Overlay`] — the prefix-tree topology: cluster lookup, split/merge
-//!   label algebra, hypercube-style neighbours.
-//! * [`routing`] — greedy prefix routing with optional redundancy, used to
-//!   quantify the impact of polluted clusters on lookups.
-//! * [`storage`] — a key–value layer over the topology: the DHT workload
-//!   whose availability the attacks degrade.
+//! [`hash`] (SHA-256 and HMAC-SHA-256) and [`NodeId`] / [`Label`] (256-bit
+//! identifiers and the binary prefix labels of clusters) describe the
+//! identifier scheme of Section III-D; the model reads neither.
 //!
 //! # Example
 //!
@@ -41,21 +23,8 @@
 //! assert!(id.common_prefix_len(&id) == 256);
 //! ```
 
-pub mod cert;
-mod cluster;
-pub mod consensus;
-mod error;
 pub mod hash;
 mod id;
 pub mod incarnation;
-pub mod ops;
-mod peer;
-pub mod routing;
-pub mod storage;
-mod topology;
 
-pub use cluster::{Cluster, ClusterParams, Member};
-pub use error::OverlayError;
 pub use id::{Label, NodeId};
-pub use peer::{Behavior, Peer, PeerId, PeerRegistry};
-pub use topology::Overlay;

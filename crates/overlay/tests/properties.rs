@@ -1,10 +1,9 @@
-//! Property-based tests for the overlay substrate: identifier/label
-//! algebra, hash behaviour, cluster operations and topology invariants.
+//! Property-based tests for the identifier space: identifier/label
+//! algebra and hash behaviour.
 
 use proptest::prelude::*;
 
-use pollux_overlay::{ops, Cluster, ClusterParams, Label, Member, NodeId, PeerId};
-use rand::{rngs::StdRng, SeedableRng};
+use pollux_overlay::{Label, NodeId};
 
 fn arb_id() -> impl Strategy<Value = NodeId> {
     proptest::collection::vec(any::<u8>(), 32).prop_map(|v| {
@@ -85,68 +84,6 @@ proptest! {
         let label = Label::prefix_of_id(&id, depth);
         let (zero, one) = label.children();
         prop_assert!(zero.is_prefix_of(&id) ^ one.is_prefix_of(&id));
-    }
-
-    #[test]
-    fn maintenance_conserves_members(
-        x in 0usize..=7,
-        y_frac in 0.0f64..=1.0,
-        s in 1usize..=7,
-        k in 1usize..=7,
-        seed in any::<u64>(),
-    ) {
-        let y = ((s as f64) * y_frac) as usize;
-        let params = ClusterParams::new(7, 7).unwrap();
-        let member = |i: u64, m: bool| Member {
-            peer: PeerId(i),
-            malicious: m,
-            id: NodeId::from_data(&i.to_be_bytes()),
-        };
-        let core: Vec<Member> = (0..7).map(|i| member(i, (i as usize) < x)).collect();
-        let spare: Vec<Member> = (0..s).map(|i| member(100 + i as u64, i < y)).collect();
-        let mut cluster = Cluster::new(Label::root(), params, core, spare).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Pick any core member to leave.
-        let leaver = cluster.core()[0].peer;
-        let was_malicious = cluster.core()[0].malicious;
-        let report = ops::leave_core_randomized(&mut cluster, leaver, k, &mut rng).unwrap();
-        prop_assert_eq!(report.left.peer, leaver);
-        prop_assert_eq!(report.demoted.len(), k - 1);
-        prop_assert_eq!(report.promoted.len(), k);
-        // Structure restored.
-        prop_assert_eq!(cluster.core().len(), 7);
-        prop_assert_eq!(cluster.spare_size(), s - 1);
-        prop_assert!(cluster.check_invariants().is_ok());
-        prop_assert!(!cluster.contains(leaver));
-        // Malicious count conserved minus the leaver.
-        let (_, nx, ny) = cluster.sxy();
-        prop_assert_eq!(nx + ny + usize::from(was_malicious), x + y);
-    }
-
-    #[test]
-    fn join_then_leave_is_identity_on_counts(
-        s in 0usize..6,
-        malicious in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let params = ClusterParams::new(4, 6).unwrap();
-        let member = |i: u64, m: bool| Member {
-            peer: PeerId(i),
-            malicious: m,
-            id: NodeId::from_data(&i.to_be_bytes()),
-        };
-        let core: Vec<Member> = (0..4).map(|i| member(i, false)).collect();
-        let spare: Vec<Member> = (0..s).map(|i| member(100 + i as u64, false)).collect();
-        let mut cluster = Cluster::new(Label::root(), params, core, spare).unwrap();
-        let before = cluster.sxy();
-        let _ = seed;
-        ops::join(&mut cluster, member(999, malicious)).unwrap();
-        let (s1, x1, y1) = cluster.sxy();
-        prop_assert_eq!(s1, before.0 + 1);
-        prop_assert_eq!(x1, before.1);
-        prop_assert_eq!(y1, before.2 + usize::from(malicious));
-        ops::leave_spare(&mut cluster, PeerId(999)).unwrap();
-        prop_assert_eq!(cluster.sxy(), before);
     }
 
     #[test]

@@ -8,7 +8,6 @@ pub use pollux_fuzz as fuzz;
 pub use pollux_linalg as linalg;
 pub use pollux_markov as markov;
 pub use pollux_meanfield as meanfield;
-pub use pollux_overlay as overlay;
 pub use pollux_prob as prob;
 pub use pollux_resilience as resilience;
 pub use pollux_sweep as sweep;
