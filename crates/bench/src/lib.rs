@@ -32,23 +32,6 @@ use pollux_sweep::{registry, SweepArgs, SweepError, SweepReport, USAGE};
 
 pub mod des_ladder;
 
-/// Formats a probability/expectation for table output: fixed point for
-/// ordinary magnitudes, scientific for the explosive Table-I corners.
-pub fn fmt_value(v: f64) -> String {
-    if v == 0.0 {
-        "0.0".to_string()
-    } else if v.abs() >= 1e5 || v.abs() < 1e-3 {
-        format!("{v:.3e}")
-    } else {
-        format!("{v:.3}")
-    }
-}
-
-/// Formats a percentage with one decimal.
-pub fn fmt_pct(v: f64) -> String {
-    format!("{:.1}%", 100.0 * v)
-}
-
 /// Prints a section header.
 pub fn banner(title: &str) {
     println!("\n=== {title} ===");
@@ -179,15 +162,6 @@ pub fn run_and_emit(args: &SweepArgs, defaults: &[&str]) -> Vec<SweepReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn value_formatting() {
-        assert_eq!(fmt_value(0.0), "0.0");
-        assert_eq!(fmt_value(12.085), "12.085");
-        assert!(fmt_value(9.3e9).contains('e'));
-        assert!(fmt_value(2.4e-5).contains('e'));
-        assert_eq!(fmt_pct(0.216), "21.6%");
-    }
 
     #[test]
     fn default_scenarios_resolve() {

@@ -412,49 +412,6 @@ impl ClusterAnalysis {
         }
     }
 
-    /// Transient occupancy curve of a single cluster: `P(X_m ∈ S)` and
-    /// `P(X_m ∈ P)` at each requested event count (sorted, increasing) —
-    /// the per-cluster analogue of Figure 5, obtained by pushing `α`
-    /// through the chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidPartition`] for unsorted sample
-    /// points.
-    pub fn occupancy_series(
-        &self,
-        sample_points: &[u64],
-    ) -> Result<Vec<(u64, f64, f64)>, MarkovError> {
-        if sample_points.windows(2).any(|w| w[0] > w[1]) {
-            return Err(MarkovError::InvalidPartition(
-                "sample points must be sorted increasing".into(),
-            ));
-        }
-        let space = self.chain.space();
-        let safe = space.transient_safe();
-        let polluted = space.transient_polluted();
-        // The CSR push visits contributions in the same order as the dense
-        // row scan (ascending source, then ascending target), so this is
-        // bit-identical to the historical dense iteration at O(nnz) per
-        // step instead of O(n²).
-        let matrix = self.chain.sparse_dtmc().matrix();
-        let mut dist = self.alpha.clone();
-        let mut next = vec![0.0; dist.len()];
-        let mut out = Vec::with_capacity(sample_points.len());
-        let mut m_cur = 0u64;
-        for &m in sample_points {
-            while m_cur < m {
-                matrix.vec_mul_into(&dist, &mut next);
-                std::mem::swap(&mut dist, &mut next);
-                m_cur += 1;
-            }
-            let p_s: f64 = safe.iter().map(|&i| dist[i]).sum();
-            let p_p: f64 = polluted.iter().map(|&i| dist[i]).sum();
-            out.push((m, p_s, p_p));
-        }
-        Ok(out)
-    }
-
     /// Long-run safe/polluted fractions of a *regenerating* cluster: when
     /// an absorbed cluster is immediately replaced by a fresh one drawn
     /// from the initial condition (the split/merge successors of a live
@@ -611,26 +568,6 @@ mod tests {
         assert_eq!(a.initial().label(), "delta");
         assert_eq!(a.alpha().len(), 288);
         assert_eq!(a.chain().space().len(), 288);
-    }
-
-    #[test]
-    fn occupancy_series_decays_and_sums_match_sojourns() {
-        let a = analysis(0.25, 0.9, 1, InitialCondition::Delta);
-        let series = a.occupancy_series(&[0, 1, 10, 100, 1000]).unwrap();
-        // Starts in a safe transient state.
-        assert_eq!(series[0], (0, 1.0, 0.0));
-        // Eventually everything is absorbed.
-        let last = series.last().unwrap();
-        assert!(last.1 + last.2 < 1e-6);
-        // Summing P(X_m in S) over all m gives E(T_S) (counting measure).
-        let grid: Vec<u64> = (0..2000).collect();
-        let dense = a.occupancy_series(&grid).unwrap();
-        let sum_s: f64 = dense.iter().map(|&(_, s, _)| s).sum();
-        let sum_p: f64 = dense.iter().map(|&(_, _, p)| p).sum();
-        assert!((sum_s - a.expected_safe_events().unwrap()).abs() < 1e-6);
-        assert!((sum_p - a.expected_polluted_events().unwrap()).abs() < 1e-6);
-        // Unsorted points rejected.
-        assert!(a.occupancy_series(&[5, 1]).is_err());
     }
 
     #[test]

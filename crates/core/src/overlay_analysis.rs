@@ -37,7 +37,6 @@ pub struct OverlayModel {
     chain: ClusterChain,
     competing: CompetingChains,
     alpha: Vec<f64>,
-    n: u64,
 }
 
 impl OverlayModel {
@@ -59,23 +58,7 @@ impl OverlayModel {
             chain,
             competing,
             alpha,
-            n,
         })
-    }
-
-    /// Number of clusters `n`.
-    pub fn n_clusters(&self) -> u64 {
-        self.n
-    }
-
-    /// The per-cluster chain.
-    pub fn chain(&self) -> &ClusterChain {
-        &self.chain
-    }
-
-    /// The parameters of the model.
-    pub fn params(&self) -> &ModelParams {
-        self.chain.space().params()
     }
 
     /// Theorem 2 evaluated at the given (sorted, increasing) event counts.
@@ -102,25 +85,6 @@ impl OverlayModel {
                 polluted: row[1],
             })
             .collect())
-    }
-
-    /// The maximum of `E(N_P(m))/n` over the given sample points, with its
-    /// arg-max.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the series evaluation failures.
-    pub fn peak_polluted(&self, sample_points: &[u64]) -> Result<(u64, f64), MarkovError> {
-        let series = self.proportion_series(sample_points)?;
-        let best = series
-            .iter()
-            .max_by(|a, b| {
-                a.polluted
-                    .partial_cmp(&b.polluted)
-                    .expect("proportions are finite")
-            })
-            .expect("series is nonempty for nonempty sample points");
-        Ok((best.m, best.polluted))
     }
 
     /// Theorem-1 cross-check: the marginal probability that a designated
@@ -168,7 +132,8 @@ mod tests {
         // clusters stays low (the paper reports < 2.2 % for its settings).
         let m = model(0.3, 0.9, 500);
         let points: Vec<u64> = (0..=40).map(|i| i * 2500).collect();
-        let (_, peak) = m.peak_polluted(&points).unwrap();
+        let series = m.proportion_series(&points).unwrap();
+        let peak = series.iter().map(|p| p.polluted).fold(0.0, f64::max);
         assert!(peak < 0.05, "peak polluted proportion {peak}");
         assert!(peak > 0.0);
     }
@@ -186,7 +151,7 @@ mod tests {
     #[test]
     fn theorem1_cross_check() {
         let m = model(0.2, 0.8, 7);
-        let space = m.chain().space();
+        let space = m.chain.space();
         let idx = space.transient_safe()[0];
         let via_t2 = {
             let series = m
@@ -197,12 +162,5 @@ mod tests {
         };
         let via_t1 = m.theorem1_state_probability(idx, 25).unwrap();
         assert!((via_t1 - via_t2).abs() < 1e-10, "{via_t1} vs {via_t2}");
-    }
-
-    #[test]
-    fn accessors() {
-        let m = model(0.1, 0.5, 42);
-        assert_eq!(m.n_clusters(), 42);
-        assert_eq!(m.params().mu(), 0.1);
     }
 }

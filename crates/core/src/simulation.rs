@@ -46,13 +46,6 @@ pub struct RunOutcome {
     pub absorbed: AbsorbedIn,
 }
 
-impl RunOutcome {
-    /// Total transient events (`T_S + T_P`).
-    pub fn total_events(&self) -> u64 {
-        self.safe_events + self.polluted_events
-    }
-}
-
 /// Simulates one cluster trajectory per replication.
 #[derive(Debug, Clone)]
 pub struct ClusterSimulator<'a, S: Strategy> {
@@ -464,7 +457,7 @@ mod tests {
             let out = sim.run(ClusterState::new(3, 0, 0), &mut rng);
             if out.absorbed == AbsorbedIn::Censored {
                 censored += 1;
-                assert_eq!(out.total_events(), 50);
+                assert_eq!(out.safe_events + out.polluted_events, 50);
             }
         }
         assert!(censored > 0);

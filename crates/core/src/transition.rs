@@ -45,7 +45,7 @@ use crate::{ClusterState, DefenseFold, ModelParams, ModelSpace, StateClass};
 /// use pollux::{ClusterChain, ModelParams};
 ///
 /// let chain = ClusterChain::build(&ModelParams::paper_defaults().with_mu(0.2).with_d(0.8));
-/// assert!(chain.dtmc().matrix().is_stochastic_default());
+/// assert!(chain.dtmc().matrix().is_stochastic(1e-9));
 /// assert!(chain.sparse_dtmc().matrix().nnz() < 288 * 16);
 /// ```
 #[derive(Debug, Clone)]

@@ -16,7 +16,8 @@
 ///     w.push(x);
 /// }
 /// assert_eq!(w.mean(), 5.0);
-/// assert!((w.population_variance() - 4.0).abs() < 1e-12);
+/// // Sum of squared deviations 32 over n − 1 = 7 observations.
+/// assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Welford {
@@ -55,14 +56,6 @@ impl Welford {
             return 0.0;
         }
         self.m2 / (self.count - 1) as f64
-    }
-
-    /// Population variance (0 when empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.m2 / self.count as f64
     }
 
     /// Standard error of the mean.

@@ -32,7 +32,6 @@
 
 pub mod corpus;
 pub mod generator;
-mod json;
 pub mod metrics;
 pub mod runner;
 pub mod scenario;
@@ -47,6 +46,8 @@ pub use shrink::{shrink, ShrinkOutcome};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+
+use pollux_resilience::json;
 
 /// Predicate-evaluation budget per shrink (see [`shrink()`]).
 pub const SHRINK_BUDGET: usize = 300;

@@ -7,13 +7,13 @@
 //! into a plain struct with an exact JSON round-trip, so shrunk failures
 //! can live in `tests/regressions/` and be replayed forever.
 
-use crate::json::{self, Json};
 use pollux::des_overlay::DesOverlayConfig;
 use pollux::{AdversaryToggles, AnalysisMode, InitialCondition, ModelParams};
 use pollux_adversary::baselines::{PassiveAdversary, RecklessAdversary};
 use pollux_adversary::{ClusterView, JoinDecision, Strategy, TargetedStrategy};
 use pollux_defense::DefenseSpec;
 use pollux_prob::tolerance::AGREEMENT_SIGMAS;
+use pollux_resilience::json::{self, Json};
 use pollux_sweep::{OutputKind, ParamGrid, Scenario, ToggleSpec};
 use std::fmt::Write as _;
 

@@ -24,7 +24,6 @@
 //!   Gauss–Seidel, all deterministic, with batched and transposed
 //!   solves. This is what lets the analytical pipeline reach 10⁴–10⁵
 //!   state spaces.
-//! * [`power`] — matrix powers and iterated distribution pushes.
 //!
 //! # Example
 //!
@@ -44,7 +43,6 @@
 mod error;
 mod lu;
 mod matrix;
-pub mod power;
 pub mod solver;
 pub mod sparse;
 pub mod vec_ops;
@@ -55,6 +53,3 @@ pub use matrix::Matrix;
 pub use solver::{
     IterStats, KrylovBreakdown, SolverOptions, TransientSolver, DEFAULT_SPARSE_CROSSOVER,
 };
-
-/// Default absolute tolerance used by the stochasticity checks.
-pub const STOCHASTIC_TOL: f64 = 1e-9;

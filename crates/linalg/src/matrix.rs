@@ -1,7 +1,7 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
-use crate::{LinalgError, STOCHASTIC_TOL};
+use crate::LinalgError;
 
 /// A dense, row-major `f64` matrix.
 ///
@@ -101,21 +101,6 @@ impl Matrix {
         })
     }
 
-    /// Creates a matrix from a flat row-major vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidDimensions`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::InvalidDimensions(format!(
-                "data length {} does not match {rows}x{cols}",
-                data.len()
-            )));
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Number of rows.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -213,40 +198,12 @@ impl Matrix {
         (0..self.rows).map(|i| self.row(i).iter().sum()).collect()
     }
 
-    /// Maximum absolute row sum (the induced infinity norm).
-    #[must_use]
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| self.row(i).iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
-    /// Largest absolute entry.
-    #[must_use]
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().map(|v| v.abs()).fold(0.0, f64::max)
-    }
-
     /// `true` when every row sums to 1 within `tol` and all entries are
     /// non-negative: the matrix is (row-)stochastic.
     #[must_use]
     pub fn is_stochastic(&self, tol: f64) -> bool {
         self.data.iter().all(|&v| v >= -tol)
             && self.row_sums().iter().all(|&s| (s - 1.0).abs() <= tol)
-    }
-
-    /// `true` when all entries are non-negative and every row sums to at
-    /// most `1 + tol`: the matrix is sub-stochastic.
-    #[must_use]
-    pub fn is_substochastic(&self, tol: f64) -> bool {
-        self.data.iter().all(|&v| v >= -tol) && self.row_sums().iter().all(|&s| s <= 1.0 + tol)
-    }
-
-    /// Convenience wrapper for [`Matrix::is_stochastic`] with the default
-    /// tolerance [`STOCHASTIC_TOL`].
-    #[must_use]
-    pub fn is_stochastic_default(&self) -> bool {
-        self.is_stochastic(STOCHASTIC_TOL)
     }
 
     /// Matrix–vector product `A x`.
@@ -490,13 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_validates_length() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(m[(1, 0)], 3.0);
-    }
-
-    #[test]
     fn identity_multiplication_is_neutral() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let i = Matrix::identity(2);
@@ -545,20 +495,15 @@ mod tests {
     fn stochastic_checks() {
         let p = Matrix::from_rows(&[&[0.5, 0.5], &[0.1, 0.9]]).unwrap();
         assert!(p.is_stochastic(1e-12));
-        assert!(p.is_substochastic(1e-12));
         let q = Matrix::from_rows(&[&[0.5, 0.4], &[0.1, 0.9]]).unwrap();
         assert!(!q.is_stochastic(1e-12));
-        assert!(q.is_substochastic(1e-12));
         let neg = Matrix::from_rows(&[&[1.5, -0.5], &[0.1, 0.9]]).unwrap();
         assert!(!neg.is_stochastic(1e-12));
-        assert!(!neg.is_substochastic(1e-12));
     }
 
     #[test]
     fn norms() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(a.norm_inf(), 7.0);
-        assert_eq!(a.max_abs(), 4.0);
         assert_eq!(a.row_sums(), vec![-1.0, 7.0]);
     }
 

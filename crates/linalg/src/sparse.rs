@@ -152,16 +152,6 @@ impl CsrMatrix {
         self.values.len()
     }
 
-    /// Exact bytes of the CSR backing storage (row pointers, column
-    /// indices, values) — the memory-accounting figure for sparse
-    /// chains.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.row_ptr.capacity() * std::mem::size_of::<usize>()
-            + self.col_idx.capacity() * std::mem::size_of::<usize>()
-            + self.values.capacity() * std::mem::size_of::<f64>()
-    }
-
     /// The stored entry at `(i, j)`, or 0 when the coordinate holds no
     /// entry (columns are sorted within a row, so this is a binary
     /// search).

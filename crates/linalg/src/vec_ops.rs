@@ -21,18 +21,6 @@ pub fn sum(a: &[f64]) -> f64 {
     a.iter().sum()
 }
 
-/// Maximum absolute entry.
-#[must_use]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().map(|v| v.abs()).fold(0.0, f64::max)
-}
-
-/// L1 norm.
-#[must_use]
-pub fn norm_l1(a: &[f64]) -> f64 {
-    a.iter().map(|v| v.abs()).sum()
-}
-
 /// Entry-wise `a + b` into a new vector.
 ///
 /// # Panics
@@ -42,56 +30,6 @@ pub fn norm_l1(a: &[f64]) -> f64 {
 pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "vector addition length mismatch");
     a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-}
-
-/// Entry-wise `a - b` into a new vector.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[must_use]
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "vector subtraction length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x - y).collect()
-}
-
-/// `a * s` into a new vector.
-#[must_use]
-pub fn scale(a: &[f64], s: f64) -> Vec<f64> {
-    a.iter().map(|v| v * s).collect()
-}
-
-/// `true` when the vector is a probability distribution within `tol`:
-/// non-negative entries summing to 1.
-#[must_use]
-pub fn is_distribution(a: &[f64], tol: f64) -> bool {
-    a.iter().all(|&v| v >= -tol) && (sum(a) - 1.0).abs() <= tol
-}
-
-/// Normalizes a non-negative vector to unit mass, returning `None` when the
-/// total mass is zero (there is nothing meaningful to normalize to).
-#[must_use]
-pub fn normalized(a: &[f64]) -> Option<Vec<f64>> {
-    let mass = sum(a);
-    if mass <= 0.0 {
-        return None;
-    }
-    Some(scale(a, 1.0 / mass))
-}
-
-/// Index of the maximum entry (first occurrence), or `None` for empty input.
-#[must_use]
-pub fn argmax(a: &[f64]) -> Option<usize> {
-    if a.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, &v) in a.iter().enumerate() {
-        if v > a[best] {
-            best = i;
-        }
-    }
-    Some(best)
 }
 
 /// Restriction of a vector to an index set: `out[k] = a[idx[k]]`.
@@ -104,20 +42,6 @@ pub fn gather(a: &[f64], idx: &[usize]) -> Vec<f64> {
     idx.iter().map(|&i| a[i]).collect()
 }
 
-/// Scatters `values` into a zero vector of length `len` at positions `idx`.
-///
-/// # Panics
-///
-/// Panics if `idx.len() != values.len()` or any index is out of bounds.
-pub fn scatter(len: usize, idx: &[usize], values: &[f64]) -> Vec<f64> {
-    assert_eq!(idx.len(), values.len(), "scatter length mismatch");
-    let mut out = vec![0.0; len];
-    for (&i, &v) in idx.iter().zip(values.iter()) {
-        out[i] = v;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,41 +49,19 @@ mod tests {
     #[test]
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(norm_inf(&[-3.0, 2.0]), 3.0);
-        assert_eq!(norm_l1(&[-3.0, 2.0]), 5.0);
         assert_eq!(sum(&[1.0, -1.0, 4.0]), 4.0);
     }
 
     #[test]
     fn arithmetic() {
         assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
-        assert_eq!(sub(&[1.0, 2.0], &[3.0, 4.0]), vec![-2.0, -2.0]);
-        assert_eq!(scale(&[1.0, 2.0], 2.0), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn distribution_checks() {
-        assert!(is_distribution(&[0.25, 0.75], 1e-12));
-        assert!(!is_distribution(&[0.5, 0.6], 1e-12));
-        assert!(!is_distribution(&[1.5, -0.5], 1e-12));
-        assert_eq!(normalized(&[2.0, 2.0]), Some(vec![0.5, 0.5]));
-        assert_eq!(normalized(&[0.0, 0.0]), None);
-    }
-
-    #[test]
-    fn argmax_behaviour() {
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmax(&[1.0, 3.0, 3.0]), Some(1));
     }
 
     #[test]
     fn gather_scatter_roundtrip() {
         let a = [10.0, 20.0, 30.0, 40.0];
         let idx = [3, 1];
-        let g = gather(&a, &idx);
-        assert_eq!(g, vec![40.0, 20.0]);
-        let s = scatter(4, &idx, &g);
-        assert_eq!(s, vec![0.0, 20.0, 0.0, 40.0]);
+        assert_eq!(gather(&a, &idx), vec![40.0, 20.0]);
     }
 
     #[test]

@@ -4,9 +4,9 @@ use crate::classify::{classify, classify_sparse, Classification};
 use crate::sparse_chain::sparse_block;
 use crate::{Dtmc, MarkovError, SparseDtmc};
 
-/// Absorbing-chain analysis: fundamental matrix, expected steps to
-/// absorption, expected visit counts and absorption probabilities per
-/// closed class.
+/// Absorbing-chain analysis: expected steps to absorption and absorption
+/// probabilities per closed class, both solved on the fundamental system
+/// `(I − Q) x = b` once at construction.
 ///
 /// States are classified automatically; "absorption" means entering any
 /// closed communicating class (for the DSN'11 chain these are the safe
@@ -36,10 +36,6 @@ pub struct AbsorbingChain {
     transient: Vec<usize>,
     /// Position of each global state inside `transient` (or `None`).
     transient_pos: Vec<Option<usize>>,
-    /// Solver for `(I − Q) x = b` where `Q` is the transient block —
-    /// dense LU when built from a [`Dtmc`], crossover-aware when built
-    /// from a [`SparseDtmc`].
-    solver: TransientSolver,
     /// Expected steps to absorption from each transient state.
     steps: Vec<f64>,
     /// Ids of closed classes, in classification order.
@@ -133,7 +129,10 @@ impl AbsorbingChain {
     }
 
     /// Shared tail of both constructors: solve for the expected steps and
-    /// the per-class absorption probabilities (batched).
+    /// the per-class absorption probabilities (batched) on the transient
+    /// block's solver — dense LU when built from a [`Dtmc`],
+    /// crossover-aware when built from a [`SparseDtmc`] — which is then
+    /// dropped.
     fn finish(
         n: usize,
         classification: Classification,
@@ -153,7 +152,6 @@ impl AbsorbingChain {
             classification,
             transient,
             transient_pos,
-            solver,
             steps,
             closed_classes,
             absorption,
@@ -229,41 +227,6 @@ impl AbsorbingChain {
             .enumerate()
             .map(|(t, &g)| alpha[g] * self.steps[t])
             .sum())
-    }
-
-    /// Expected number of visits to transient state `j` before absorption,
-    /// starting from transient state `i` (the fundamental-matrix entry
-    /// `N[i][j]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidPartition`] if either state is not
-    /// transient, or [`MarkovError::InvalidState`] for an out-of-range
-    /// index.
-    pub fn expected_visits(&self, i: usize, j: usize) -> Result<f64, MarkovError> {
-        let n = self.n_states;
-        for idx in [i, j] {
-            if idx >= n {
-                return Err(MarkovError::InvalidState {
-                    index: idx,
-                    states: n,
-                });
-            }
-        }
-        let (ti, tj) = match (self.transient_pos[i], self.transient_pos[j]) {
-            (Some(a), Some(b)) => (a, b),
-            _ => {
-                return Err(MarkovError::InvalidPartition(format!(
-                    "states {i} and {j} must both be transient"
-                )))
-            }
-        };
-        // Column j of N = (I-Q)^{-1}: solve (I-Q) x = e_j and read row i...
-        // N e_j gives column j, so x[ti] is the desired entry.
-        let mut e = vec![0.0; self.transient.len()];
-        e[tj] = 1.0;
-        let col = self.solver.solve(&e)?;
-        Ok(col[ti])
     }
 
     /// Probability of being absorbed in each closed class, starting from
@@ -408,26 +371,10 @@ mod tests {
     }
 
     #[test]
-    fn expected_visits_fundamental_matrix() {
-        // For fair ruin with n=4, transient {1,2,3}:
-        // N = (I-Q)^{-1} with Q tridiagonal(0.5). Known: N[1][1] = 1.5.
-        let chain = gamblers_ruin(0.5, 4);
-        let abs = AbsorbingChain::new(&chain).unwrap();
-        let n22 = abs.expected_visits(2, 2).unwrap();
-        assert!((n22 - 2.0).abs() < 1e-10, "{n22}");
-        let n11 = abs.expected_visits(1, 1).unwrap();
-        assert!((n11 - 1.5).abs() < 1e-10, "{n11}");
-        // Row sums of N equal expected steps.
-        let total: f64 = (1..4).map(|j| abs.expected_visits(1, j).unwrap()).sum();
-        assert!((total - abs.expected_steps_from(1).unwrap()).abs() < 1e-10);
-    }
-
-    #[test]
     fn errors_for_bad_inputs() {
         let chain = gamblers_ruin(0.5, 4);
         let abs = AbsorbingChain::new(&chain).unwrap();
         assert!(abs.expected_steps_from(99).is_err());
-        assert!(abs.expected_visits(0, 1).is_err()); // 0 is recurrent
         assert!(abs.absorption_probabilities(&[1.0]).is_err());
         // A chain with no transient states is rejected.
         let irr = Dtmc::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]).unwrap();
@@ -457,9 +404,6 @@ mod tests {
                     assert!((x - y).abs() < 1e-9, "absorption i={i}: {x} vs {y}");
                 }
             }
-            let v_dense = dense_abs.expected_visits(2, 3).unwrap();
-            let v_sparse = sparse_abs.expected_visits(2, 3).unwrap();
-            assert!((v_dense - v_sparse).abs() < 1e-9);
         }
     }
 

@@ -1,4 +1,4 @@
-use pollux_linalg::{power, Matrix};
+use pollux_linalg::Matrix;
 use pollux_prob::AliasTable;
 
 use crate::MarkovError;
@@ -45,8 +45,10 @@ pub(crate) fn validate_distribution(alpha: &[f64], n_states: usize) -> Result<()
 ///
 /// # fn main() -> Result<(), pollux_markov::MarkovError> {
 /// let p = Dtmc::from_rows(&[&[0.9, 0.1], &[0.4, 0.6]])?;
-/// let dist = p.transient_distribution(&[1.0, 0.0], 2)?;
-/// assert!((dist[0] - 0.85).abs() < 1e-12);
+/// assert_eq!(p.n_states(), 2);
+/// assert_eq!(p.prob(1, 0), 0.4);
+/// // A row that does not sum to 1 is rejected at construction.
+/// assert!(Dtmc::from_rows(&[&[0.9, 0.2], &[0.4, 0.6]]).is_err());
 /// # Ok(())
 /// # }
 /// ```
@@ -143,60 +145,6 @@ impl Dtmc {
         validate_distribution(alpha, self.n_states())
     }
 
-    /// Distribution after `m` steps: `α P^m`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidDistribution`] when `alpha` fails
-    /// validation.
-    pub fn transient_distribution(&self, alpha: &[f64], m: u64) -> Result<Vec<f64>, MarkovError> {
-        self.check_distribution(alpha)?;
-        Ok(power::push_distribution(&self.p, alpha, m)?)
-    }
-
-    /// Stationary distribution `π` with `π P = π`, `Σ π = 1`, computed by a
-    /// direct linear solve (replace one balance equation with the
-    /// normalization constraint).
-    ///
-    /// Meaningful for irreducible chains; for reducible chains the result
-    /// is *a* stationary vector of the linear system, if one is uniquely
-    /// determined.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::Linalg`] when the linear system is singular
-    /// (e.g. multiple closed classes give non-unique stationary vectors).
-    pub fn stationary_distribution(&self) -> Result<Vec<f64>, MarkovError> {
-        let n = self.n_states();
-        // Solve (P^T - I) pi = 0 with last row replaced by ones: sum = 1.
-        let mut a = Matrix::from_fn(n, n, |i, j| {
-            let v = self.p[(j, i)];
-            if i == j {
-                v - 1.0
-            } else {
-                v
-            }
-        });
-        for j in 0..n {
-            a[(n - 1, j)] = 1.0;
-        }
-        let mut b = vec![0.0; n];
-        b[n - 1] = 1.0;
-        let pi = a.solve(&b)?;
-        Ok(pi)
-    }
-
-    /// Samples the successor of state `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn step<R: rand::Rng + ?Sized>(&self, i: usize, rng: &mut R) -> usize {
-        let row = self.p.row(i);
-        let table = AliasTable::new(row).expect("validated stochastic row");
-        table.sample(rng)
-    }
-
     /// Pre-builds per-state alias tables for repeated simulation.
     pub fn sampler(&self) -> DtmcSampler {
         DtmcSampler {
@@ -204,36 +152,6 @@ impl Dtmc {
                 .map(|i| AliasTable::new(self.p.row(i)).expect("validated stochastic row"))
                 .collect(),
         }
-    }
-
-    /// Simulates a trajectory of `steps` transitions starting at `start`,
-    /// returning the visited states **including** the start (so the result
-    /// has `steps + 1` entries).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidState`] when `start` is out of range.
-    pub fn simulate<R: rand::Rng + ?Sized>(
-        &self,
-        start: usize,
-        steps: usize,
-        rng: &mut R,
-    ) -> Result<Vec<usize>, MarkovError> {
-        if start >= self.n_states() {
-            return Err(MarkovError::InvalidState {
-                index: start,
-                states: self.n_states(),
-            });
-        }
-        let sampler = self.sampler();
-        let mut path = Vec::with_capacity(steps + 1);
-        let mut cur = start;
-        path.push(cur);
-        for _ in 0..steps {
-            cur = sampler.step(cur, rng);
-            path.push(cur);
-        }
-        Ok(path)
     }
 }
 
@@ -251,11 +169,6 @@ impl DtmcSampler {
     /// Panics if `i` is out of bounds.
     pub fn step<R: rand::Rng + ?Sized>(&self, i: usize, rng: &mut R) -> usize {
         self.tables[i].sample(rng)
-    }
-
-    /// Number of states covered.
-    pub fn n_states(&self) -> usize {
-        self.tables.len()
     }
 }
 
@@ -288,17 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_distribution_two_state() {
-        let p = Dtmc::from_rows(&[&[0.9, 0.1], &[0.4, 0.6]]).unwrap();
-        // One step from state 0.
-        let d1 = p.transient_distribution(&[1.0, 0.0], 1).unwrap();
-        assert!((d1[0] - 0.9).abs() < 1e-14);
-        // Distribution must stay normalized.
-        let d20 = p.transient_distribution(&[0.5, 0.5], 20).unwrap();
-        assert!((d20.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn check_distribution_validates() {
         let p = Dtmc::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
         assert!(p.check_distribution(&[0.5, 0.5]).is_ok());
@@ -308,41 +210,19 @@ mod tests {
     }
 
     #[test]
-    fn stationary_distribution_known_chain() {
-        // Birth-death chain with known stationary distribution.
-        let p = Dtmc::from_rows(&[&[0.5, 0.5, 0.0], &[0.25, 0.5, 0.25], &[0.0, 0.5, 0.5]]).unwrap();
-        let pi = p.stationary_distribution().unwrap();
-        // Detailed balance: pi = (1/4, 1/2, 1/4).
-        assert!((pi[0] - 0.25).abs() < 1e-10);
-        assert!((pi[1] - 0.50).abs() < 1e-10);
-        assert!((pi[2] - 0.25).abs() < 1e-10);
-        // Verify invariance.
-        let next = p.matrix().vec_mul(&pi);
-        for (a, b) in next.iter().zip(pi.iter()) {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn simulation_respects_structure() {
         // Deterministic cycle 0 -> 1 -> 2 -> 0.
         let p = Dtmc::from_rows(&[&[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0], &[1.0, 0.0, 0.0]]).unwrap();
+        let sampler = p.sampler();
         let mut rng = StdRng::seed_from_u64(1);
-        let path = p.simulate(0, 6, &mut rng).unwrap();
-        assert_eq!(path, vec![0, 1, 2, 0, 1, 2, 0]);
-    }
-
-    #[test]
-    fn simulate_rejects_bad_start() {
-        let p = Dtmc::from_rows(&[&[1.0]]).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(matches!(
-            p.simulate(3, 1, &mut rng),
-            Err(MarkovError::InvalidState {
-                index: 3,
-                states: 1
+        let mut cur = 0;
+        let path: Vec<usize> = (0..6)
+            .map(|_| {
+                cur = sampler.step(cur, &mut rng);
+                cur
             })
-        ));
+            .collect();
+        assert_eq!(path, vec![1, 2, 0, 1, 2, 0]);
     }
 
     #[test]

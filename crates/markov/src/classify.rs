@@ -117,36 +117,6 @@ fn classify_adjacency(adj: Vec<Vec<usize>>) -> Classification {
     }
 }
 
-/// Set of states reachable from the support of `alpha` (including the
-/// support itself), as a boolean mask.
-///
-/// # Panics
-///
-/// Panics if `alpha.len()` differs from the number of states.
-pub fn reachable_from(chain: &Dtmc, alpha: &[f64]) -> Vec<bool> {
-    let n = chain.n_states();
-    assert_eq!(alpha.len(), n, "distribution length mismatch");
-    let mut seen = vec![false; n];
-    let mut stack: Vec<usize> = alpha
-        .iter()
-        .enumerate()
-        .filter(|(_, &a)| a > 0.0)
-        .map(|(i, _)| i)
-        .collect();
-    for &s in &stack {
-        seen[s] = true;
-    }
-    while let Some(i) = stack.pop() {
-        for (j, seen_j) in seen.iter_mut().enumerate() {
-            if !*seen_j && chain.prob(i, j) > 0.0 {
-                *seen_j = true;
-                stack.push(j);
-            }
-        }
-    }
-    seen
-}
-
 /// Iterative Tarjan strongly-connected-components algorithm.
 ///
 /// Returns the components; every vertex appears in exactly one component.
@@ -280,18 +250,5 @@ mod tests {
         let a = classify(&dense);
         let b = classify_sparse(&sparse);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reachability() {
-        let p = gamblers_ruin();
-        let mut alpha = vec![0.0; 4];
-        alpha[0] = 1.0;
-        let r = reachable_from(&p, &alpha);
-        assert_eq!(r, vec![true, false, false, false]);
-        let mut alpha = vec![0.0; 4];
-        alpha[1] = 1.0;
-        let r = reachable_from(&p, &alpha);
-        assert_eq!(r, vec![true, true, true, true]);
     }
 }

@@ -106,11 +106,6 @@ impl CompetingChains {
         })
     }
 
-    /// Number of competing chains.
-    pub fn n_chains(&self) -> u64 {
-        self.n
-    }
-
     /// Global indices of the transient states the model tracks.
     pub fn transient_states(&self) -> &[usize] {
         &self.transient

@@ -6,15 +6,15 @@
 //!
 //! * [`StateSpace`] — a bijection between arbitrary state values and dense
 //!   indices.
-//! * [`Dtmc`] — a validated discrete-time Markov chain with simulation
-//!   support.
+//! * [`Dtmc`] — a validated discrete-time Markov chain, with per-state
+//!   alias tables for Monte-Carlo sampling.
 //! * [`SparseDtmc`] — the same validation contract on CSR storage, so
 //!   sparse chains (each state reaching a handful of successors) never
 //!   materialize an O(n²) matrix; the analyses below accept either
 //!   representation, switching to O(nnz) iterative solvers at a size
 //!   crossover.
 //! * [`classify`] — communicating classes (iterative Tarjan SCC), closed /
-//!   transient classification, reachability.
+//!   transient classification.
 //! * [`AbsorbingChain`] — fundamental matrix, expected time to absorption,
 //!   absorption probabilities per absorbing class (the paper's
 //!   Relation (9)).

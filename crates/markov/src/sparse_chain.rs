@@ -137,34 +137,6 @@ impl SparseDtmc {
         self.p.row_entries(i)
     }
 
-    /// Validates a distribution vector against this chain (same contract
-    /// as [`Dtmc::check_distribution`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidDistribution`] for wrong length,
-    /// negative mass or total mass differing from 1 by more than `1e-9`.
-    pub fn check_distribution(&self, alpha: &[f64]) -> Result<(), MarkovError> {
-        crate::chain::validate_distribution(alpha, self.n_states())
-    }
-
-    /// Distribution after `m` steps: `α P^m`, iterated in O(m · nnz).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidDistribution`] when `alpha` fails
-    /// validation.
-    pub fn transient_distribution(&self, alpha: &[f64], m: u64) -> Result<Vec<f64>, MarkovError> {
-        self.check_distribution(alpha)?;
-        let mut cur = alpha.to_vec();
-        let mut next = vec![0.0; cur.len()];
-        for _ in 0..m {
-            self.p.vec_mul_into(&cur, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        Ok(cur)
-    }
-
     /// Densifies into a [`Dtmc`] carrying the *exact* stored probabilities
     /// (no second validation pass, so bridging representations never
     /// re-normalizes twice).
@@ -269,30 +241,6 @@ mod tests {
         }
         let back = SparseDtmc::from_dense(&dense);
         assert_eq!(back, sparse);
-    }
-
-    #[test]
-    fn transient_distribution_matches_dense() {
-        let sparse = gamblers_ruin();
-        let dense = sparse.to_dense();
-        let alpha = [0.0, 0.5, 0.5, 0.0];
-        for m in [0u64, 1, 5, 50] {
-            let a = sparse.transient_distribution(&alpha, m).unwrap();
-            let b = dense.transient_distribution(&alpha, m).unwrap();
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert!((x - y).abs() < 1e-14);
-            }
-        }
-        assert!(sparse.transient_distribution(&[1.0], 1).is_err());
-    }
-
-    #[test]
-    fn check_distribution_validates() {
-        let p = gamblers_ruin();
-        assert!(p.check_distribution(&[0.25; 4]).is_ok());
-        assert!(p.check_distribution(&[0.5; 4]).is_err());
-        assert!(p.check_distribution(&[1.0]).is_err());
-        assert!(p.check_distribution(&[1.5, -0.5, 0.0, 0.0]).is_err());
     }
 
     #[test]

@@ -66,16 +66,6 @@ proptest! {
     }
 
     #[test]
-    fn expected_visits_row_sums_equal_expected_steps((chain, t) in absorbing_chain_strategy()) {
-        let abs = AbsorbingChain::new(&chain).unwrap();
-        for i in 0..t {
-            let total: f64 = (0..t).map(|j| abs.expected_visits(i, j).unwrap()).sum();
-            let steps = abs.expected_steps_from(i).unwrap();
-            prop_assert!((total - steps).abs() < 1e-8);
-        }
-    }
-
-    #[test]
     fn sojourn_totals_decompose_for_every_bipartition((chain, t) in absorbing_chain_strategy(), mask in any::<u32>()) {
         // Split the transient states arbitrarily by the mask bits.
         let s_states: Vec<usize> = (0..t).filter(|i| mask & (1 << i) != 0).collect();

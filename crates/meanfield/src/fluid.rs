@@ -398,19 +398,6 @@ impl FluidModel {
         }
     }
 
-    /// `‖π·P_regen(μ_eff(π)) − π‖∞`: how far `pi` is from stationarity
-    /// of the embedded chain (rate-independent).
-    #[must_use]
-    pub fn stationarity_residual(&self, pi: &[f64]) -> f64 {
-        let mu = self.mu_eff(pi);
-        let mut out = vec![0.0; self.dim()];
-        self.apply_embedded_at_mu(pi, mu, &mut out);
-        out.iter()
-            .zip(pi)
-            .map(|(o, p)| (o - p).abs())
-            .fold(0.0, f64::max)
-    }
-
     /// The unique equilibrium of the open (linear) system, via the
     /// renewal identity: expected visit counts `v` solve
     /// `(I − Q(μ))ᵀ v = α_T`, the cycle length is `Σv + 1`, and

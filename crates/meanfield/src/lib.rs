@@ -16,8 +16,8 @@
 //!   [`Defense`](pollux_defense::Defense) hooks via an exact affine-μ
 //!   decomposition of the transition matrix; [`Coupling`] selects the
 //!   open (linear) model or the targeted-adversary routing feedback.
-//! * [`ode`] — deterministic fixed-step RK4 ([`rk4_fixed`]) and an
-//!   adaptive Bogacki–Shampine 3(2) pair ([`bs32_adaptive`]).
+//! * [`ode`] — a deterministic adaptive Bogacki–Shampine 3(2) pair
+//!   ([`bs32_adaptive`]).
 //! * [`equilibrium`] — the renewal-identity direct solve
 //!   ([`FluidModel::open_equilibrium`]) and a damped-Newton solver
 //!   with analytic Jacobian for the coupled system
@@ -75,7 +75,7 @@ pub mod whatif;
 pub use eig::{eigenvalues, Complex};
 pub use error::MeanFieldError;
 pub use fluid::{Coupling, Equilibrium, EquilibriumMethod, FluidModel, MU_EFF_CAP};
-pub use ode::{bs32_adaptive, rk4_fixed, AdaptiveOptions, OdeRun};
+pub use ode::{bs32_adaptive, AdaptiveOptions, OdeRun};
 pub use stability::{Stability, StabilityReport};
 pub use tuning::{tune_induced_churn, TuningConfig, TuningOutcome};
 pub use whatif::{planet_scale_what_if, planet_scale_what_if_with_defense, WhatIfAnswer};

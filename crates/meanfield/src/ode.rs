@@ -1,18 +1,13 @@
-//! Deterministic ODE integrators for the fluid system.
+//! Deterministic ODE integration for the fluid system.
 //!
-//! Two options, both allocation-frugal and bit-reproducible:
+//! [`bs32_adaptive`] is the Bogacki–Shampine 3(2) embedded pair with
+//! FSAL reuse and a deterministic PI-free step controller,
+//! allocation-frugal and bit-reproducible. It suits trajectories with a
+//! fast transient followed by a long slow tail (e.g. settling into a
+//! near-degenerate equilibrium).
 //!
-//! * [`rk4_fixed`] — classical fourth-order Runge–Kutta with a fixed
-//!   step count. The workhorse for validation runs: byte-identical
-//!   output for identical inputs, O(h⁴) global error (pinned by a
-//!   step-halving test).
-//! * [`bs32_adaptive`] — the Bogacki–Shampine 3(2) embedded pair with
-//!   FSAL reuse and a deterministic PI-free step controller. Used when
-//!   the trajectory has a fast transient followed by a long slow tail
-//!   (e.g. settling into a near-degenerate equilibrium).
-//!
-//! The integrators are generic over the right-hand side so the unit
-//! tests can drive them with scalar ODEs of known solution.
+//! The integrator is generic over the right-hand side so the unit tests
+//! can drive it with scalar ODEs of known solution.
 
 use crate::error::MeanFieldError;
 use crate::fluid::FluidModel;
@@ -24,7 +19,7 @@ pub struct OdeRun {
     pub y: Vec<f64>,
     /// Accepted steps.
     pub steps: u64,
-    /// Rejected (re-tried) steps; always 0 for the fixed-step path.
+    /// Rejected (re-tried) steps.
     pub rejected: u64,
     /// Right-hand-side evaluations.
     pub rhs_evals: u64,
@@ -51,57 +46,6 @@ impl Default for AdaptiveOptions {
             initial_dt: 1e-2,
             max_steps: 1_000_000,
         }
-    }
-}
-
-/// Classical RK4 with exactly `steps` equal steps from `0` to `t_end`.
-///
-/// # Panics
-///
-/// Panics when `steps == 0` or `t_end` is not finite and positive —
-/// caller-side configuration errors, not data-dependent conditions.
-pub fn rk4_fixed<F>(mut rhs: F, y0: &[f64], t_end: f64, steps: u64) -> OdeRun
-where
-    F: FnMut(&[f64], &mut [f64]),
-{
-    assert!(steps > 0, "rk4_fixed needs at least one step");
-    assert!(
-        t_end.is_finite() && t_end > 0.0,
-        "rk4_fixed needs a finite positive horizon"
-    );
-    let n = y0.len();
-    let h = t_end / steps as f64;
-    let mut y = y0.to_vec();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut stage = vec![0.0; n];
-
-    for _ in 0..steps {
-        rhs(&y, &mut k1);
-        for i in 0..n {
-            stage[i] = y[i] + 0.5 * h * k1[i];
-        }
-        rhs(&stage, &mut k2);
-        for i in 0..n {
-            stage[i] = y[i] + 0.5 * h * k2[i];
-        }
-        rhs(&stage, &mut k3);
-        for i in 0..n {
-            stage[i] = y[i] + h * k3[i];
-        }
-        rhs(&stage, &mut k4);
-        for i in 0..n {
-            y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-    }
-
-    OdeRun {
-        y,
-        steps,
-        rejected: 0,
-        rhs_evals: 4 * steps,
     }
 }
 
@@ -216,17 +160,6 @@ where
 }
 
 impl FluidModel {
-    /// Integrates the fluid ODE from `pi0` for `t_end` time units with
-    /// `steps` fixed RK4 steps. Deterministic and byte-reproducible.
-    ///
-    /// # Panics
-    ///
-    /// As [`rk4_fixed`]; additionally if `pi0` has the wrong dimension.
-    #[must_use]
-    pub fn integrate_fixed(&self, pi0: &[f64], t_end: f64, steps: u64) -> OdeRun {
-        rk4_fixed(|y, out| self.rhs_into(y, out), pi0, t_end, steps)
-    }
-
     /// Integrates the fluid ODE adaptively (Bogacki–Shampine 3(2)).
     ///
     /// # Errors
@@ -250,27 +183,6 @@ mod tests {
     /// dy/dt = -y, y(0) = 1 → y(t) = e^{-t}.
     fn decay(y: &[f64], out: &mut [f64]) {
         out[0] = -y[0];
-    }
-
-    #[test]
-    fn rk4_shows_fourth_order_convergence_under_step_halving() {
-        let t_end: f64 = 2.0;
-        let exact = (-t_end).exp();
-        let err = |steps: u64| (rk4_fixed(decay, &[1.0], t_end, steps).y[0] - exact).abs();
-        let e1 = err(20);
-        let e2 = err(40);
-        let e3 = err(80);
-        // Halving the step must shrink the error by ~2⁴ = 16.
-        let order12 = (e1 / e2).log2();
-        let order23 = (e2 / e3).log2();
-        assert!(
-            order12 > 3.7 && order12 < 4.3,
-            "observed order {order12} (errors {e1:e} -> {e2:e})"
-        );
-        assert!(
-            order23 > 3.7 && order23 < 4.3,
-            "observed order {order23} (errors {e2:e} -> {e3:e})"
-        );
     }
 
     #[test]
@@ -310,12 +222,13 @@ mod tests {
     }
 
     #[test]
-    fn fixed_step_fluid_runs_are_byte_deterministic_and_mass_conserving() {
+    fn fluid_runs_are_byte_deterministic_and_mass_conserving() {
         let params = ModelParams::paper_defaults().with_mu(0.2).with_d(0.9);
         let model = crate::FluidModel::build(&params, &InitialCondition::Delta).unwrap();
         let pi0 = model.alpha().to_vec();
-        let a = model.integrate_fixed(&pi0, 50.0, 400);
-        let b = model.integrate_fixed(&pi0, 50.0, 400);
+        let opts = AdaptiveOptions::default();
+        let a = model.integrate_adaptive(&pi0, 50.0, &opts).unwrap();
+        let b = model.integrate_adaptive(&pi0, 50.0, &opts).unwrap();
         // Byte-level determinism, not approximate agreement.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a.y), bits(&b.y));
@@ -323,7 +236,7 @@ mod tests {
         assert!((mass - 1.0).abs() < 1e-10, "mass drifted to {mass}");
         // Long horizon converges to the renewal equilibrium.
         let eq = model.open_equilibrium().unwrap();
-        let run = model.integrate_fixed(&pi0, 400.0, 4000);
+        let run = model.integrate_adaptive(&pi0, 400.0, &opts).unwrap();
         let dev = run
             .y
             .iter()

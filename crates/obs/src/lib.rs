@@ -16,14 +16,12 @@
 //!   nothing when observation is off).
 //! * [`MetricsRecorder`] — the real implementation: named monotonic
 //!   [counters](Registry), log₂-bucketed [`Histogram`]s, [`SpanStats`]
-//!   span timers, high-water gauges and a bounded ring-buffer
-//!   [`TraceRing`] event tracer. Which of the two a caller passes is the
+//!   span timers and a bounded ring-buffer [`TraceRing`] event tracer. Which of the two a caller passes is the
 //!   only switch for recording: plain entry points pass [`NullRecorder`],
 //!   observed ones a [`MetricsRecorder`].
-//! * [`mem`] — memory accounting: peak/current RSS from
-//!   `/proc/self/status` plus exact [`mem::MemoryAudit`] byte audits of
-//!   the big simulation data structures (node arena, hot records, event
-//!   queue, CSR matrices).
+//! * [`mem`] — memory accounting: peak RSS from `/proc/self/status`
+//!   plus exact [`mem::MemoryAudit`] byte audits of the DES's per-cluster
+//!   state, for the benches' bytes-per-node figure.
 //! * [`ObsReport`] — a deterministic JSON sink (sorted keys, fixed
 //!   formatting) for metrics sidecars written next to sweep artefacts
 //!   and bench trajectories.

@@ -6,10 +6,10 @@
 //! size*; this module is what turns that into numbers. Two complementary
 //! sources:
 //!
-//! * [`peak_rss_bytes`] / [`current_rss_bytes`] — the kernel's view
-//!   (`VmHWM` / `VmRSS`). Peak RSS is monotonic over the process
-//!   lifetime, so in a multi-rung bench it reflects the largest rung run
-//!   so far; the per-rung numbers come from the audits below.
+//! * [`peak_rss_bytes`] — the kernel's view (`VmHWM`). Peak RSS is
+//!   monotonic over the process lifetime, so in a multi-rung bench it
+//!   reflects the largest rung run so far; the per-rung numbers come
+//!   from the audits below.
 //! * [`MemoryAudit`] — an exact, platform-independent byte count built
 //!   from the same formulas the allocations use (node arena, hot
 //!   records, event queue, membership tables), reported per structure
@@ -36,13 +36,6 @@ fn proc_status_kb(field: &str) -> Option<u64> {
 #[must_use]
 pub fn peak_rss_bytes() -> Option<u64> {
     proc_status_kb("VmHWM")
-}
-
-/// Current resident set size (`VmRSS`) of this process in bytes, or
-/// `None` off-Linux / when `/proc` is unavailable.
-#[must_use]
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_kb("VmRSS")
 }
 
 /// An exact byte audit of one run's simulation state, accumulated
@@ -138,14 +131,8 @@ mod tests {
 
     #[test]
     fn rss_readings_work_on_linux() {
-        // On Linux /proc must be readable and peak must dominate current
-        // (both in plausible ranges). Current is
-        // read first: VmHWM only grows, so a concurrent test allocating
-        // between the two reads can raise the later peak but never push
-        // the earlier current reading above it.
-        let cur = current_rss_bytes().expect("VmRSS readable");
+        // On Linux /proc must be readable and the peak plausible.
         let peak = peak_rss_bytes().expect("VmHWM readable");
-        assert!(peak >= cur);
         assert!(peak > 100 * 1024, "peak RSS implausibly small: {peak}");
     }
 

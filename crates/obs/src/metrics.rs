@@ -1,6 +1,5 @@
-//! Metric primitives: monotonic counters, high-water gauges,
-//! log₂-bucketed histograms, span-timer statistics, and the [`Registry`]
-//! that holds them by name.
+//! Metric primitives: monotonic counters, log₂-bucketed histograms,
+//! span-timer statistics, and the [`Registry`] that holds them by name.
 //!
 //! Everything here is plain data — no atomics, no locks. Instrumented
 //! loops own one registry each (one per DES shard, one per sweep
@@ -32,10 +31,11 @@ pub const HIST_BUCKETS: usize = 65;
 /// }
 /// assert_eq!(h.count(), 6);
 /// assert_eq!(h.max(), 1000);
-/// assert_eq!(h.bucket(0), 1); // the zero
-/// assert_eq!(h.bucket(1), 1); // 1
-/// assert_eq!(h.bucket(2), 2); // 2, 3
-/// assert_eq!(h.bucket(10), 1); // 1000 ∈ [512, 1023]
+/// // (range_lo, range_hi_exclusive, count) of each non-empty bucket.
+/// assert_eq!(
+///     h.nonzero_buckets(),
+///     vec![(0, 1, 1), (1, 2, 1), (2, 4, 2), (4, 8, 1), (512, 1024, 1)]
+/// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
@@ -115,32 +115,6 @@ impl Histogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Occupancy of bucket `i`.
-    #[must_use]
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Upper bound (inclusive) of the bucket containing the `q`-quantile
-    /// (`0 ≤ q ≤ 1`), a bucket-resolution approximation; `None` when
-    /// empty.
-    #[must_use]
-    pub fn quantile_bound(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                let (_, hi) = Self::bucket_range(i);
-                return Some(hi.saturating_sub(1).max(if i == 0 { 0 } else { 1 }));
-            }
-        }
-        Some(self.max)
     }
 
     /// Merges `other` into `self` (exact: element-wise integer sums).
@@ -312,8 +286,6 @@ impl SpanStats {
 pub enum Metric {
     /// A monotonic counter (merge: sum).
     Counter(u64),
-    /// A high-water gauge (merge: max).
-    HighWater(u64),
     /// A log₂ histogram (merge: element-wise sum).
     Histogram(Box<Histogram>),
     /// Span statistics (merge: ordered Welford merge).
@@ -337,10 +309,9 @@ pub enum Metric {
 /// let mut r = Registry::new();
 /// r.add("events", 2);
 /// r.add("events", 3);
-/// r.high_water("depth", 7);
-/// r.high_water("depth", 4);
+/// r.observe("depth", 7);
 /// assert_eq!(r.counter("events"), Some(5));
-/// assert_eq!(r.high_water_mark("depth"), Some(7));
+/// assert_eq!(r.histogram("depth").map(|h| h.max()), Some(7));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
@@ -372,19 +343,6 @@ impl Registry {
                 }
             }
             None => self.entries.push((key, Metric::Counter(delta))),
-        }
-    }
-
-    /// Raises high-water gauge `key` to at least `value`.
-    #[inline]
-    pub fn high_water(&mut self, key: &'static str, value: u64) {
-        match self.slot(key) {
-            Some(i) => {
-                if let Metric::HighWater(hw) = &mut self.entries[i].1 {
-                    *hw = (*hw).max(value);
-                }
-            }
-            None => self.entries.push((key, Metric::HighWater(value))),
         }
     }
 
@@ -431,15 +389,6 @@ impl Registry {
         })
     }
 
-    /// The mark of high-water gauge `key`, if present.
-    #[must_use]
-    pub fn high_water_mark(&self, key: &str) -> Option<u64> {
-        self.get(key).and_then(|m| match m {
-            Metric::HighWater(hw) => Some(*hw),
-            _ => None,
-        })
-    }
-
     /// The histogram under `key`, if present.
     #[must_use]
     pub fn histogram(&self, key: &str) -> Option<&Histogram> {
@@ -477,8 +426,7 @@ impl Registry {
     }
 
     /// Merges `other` into `self`, metric by metric: counters sum,
-    /// high-water gauges max, histograms sum element-wise, spans merge in
-    /// call order. The caller is responsible for a fixed merge order
+    /// histograms sum element-wise, spans merge in call order. The caller is responsible for a fixed merge order
     /// (shard 0, shard 1, …) — the same rule as the simulation outcome
     /// merge.
     pub fn merge(&mut self, other: &Registry) {
@@ -486,7 +434,6 @@ impl Registry {
             match self.slot(key) {
                 Some(i) => match (&mut self.entries[i].1, metric) {
                     (Metric::Counter(a), Metric::Counter(b)) => *a += b,
-                    (Metric::HighWater(a), Metric::HighWater(b)) => *a = (*a).max(*b),
                     (Metric::Histogram(a), Metric::Histogram(b)) => a.merge(b),
                     (Metric::Span(a), Metric::Span(b)) => a.merge(b),
                     // A key recorded as two different metric kinds is a
@@ -544,9 +491,11 @@ mod tests {
         assert_eq!(h.sum(), 1042);
         assert_eq!(h.max(), 1023);
         assert!((h.mean() - 208.4).abs() < 1e-12);
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(3), 3); // 5, 7, 7 ∈ [4, 7]
-        assert_eq!(h.bucket(10), 1); // 1023 ∈ [512, 1023]
+        // 0 alone; 5, 7, 7 ∈ [4, 7]; 1023 ∈ [512, 1023].
+        assert_eq!(
+            h.nonzero_buckets(),
+            vec![(0, 1, 1), (4, 8, 3), (512, 1024, 1)]
+        );
     }
 
     #[test]
@@ -565,19 +514,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, pooled);
-    }
-
-    #[test]
-    fn histogram_quantiles_bound_the_data() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        assert_eq!(Histogram::new().quantile_bound(0.5), None);
-        let median = h.quantile_bound(0.5).unwrap();
-        // True median 500 ∈ [median bucket 9: 256..=511].
-        assert!((500..=511).contains(&median), "median bound {median}");
-        assert!(h.quantile_bound(1.0).unwrap() >= 1000);
     }
 
     #[test]
@@ -635,18 +571,15 @@ mod tests {
     fn registry_round_trip_and_merge() {
         let mut a = Registry::new();
         a.add("ev", 10);
-        a.high_water("q", 5);
         a.observe("h", 3);
         a.span("t", 0.5);
         let mut b = Registry::new();
         b.add("ev", 4);
-        b.high_water("q", 2);
         b.observe("h", 900);
         b.span("t", 1.5);
         b.add("only_b", 1);
         a.merge(&b);
         assert_eq!(a.counter("ev"), Some(14));
-        assert_eq!(a.high_water_mark("q"), Some(5));
         assert_eq!(a.histogram("h").unwrap().count(), 2);
         assert_eq!(a.histogram("h").unwrap().max(), 900);
         let t = a.span_stats("t").unwrap();
@@ -656,6 +589,6 @@ mod tests {
         assert_eq!(a.counter("missing"), None);
         // Sorted export order is key order, not insertion order.
         let keys: Vec<&str> = a.sorted().iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec!["ev", "h", "only_b", "q", "t"]);
+        assert_eq!(keys, vec!["ev", "h", "only_b", "t"]);
     }
 }

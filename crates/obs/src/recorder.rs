@@ -27,10 +27,6 @@ pub trait Recorder {
     #[inline]
     fn observe(&mut self, key: &'static str, value: u64) {}
 
-    /// Raises the high-water gauge `key` to at least `value`.
-    #[inline]
-    fn high_water(&mut self, key: &'static str, value: u64) {}
-
     /// Records a completed span of `seconds` under `key`.
     #[inline]
     fn span(&mut self, key: &'static str, seconds: f64) {}
@@ -116,11 +112,6 @@ impl Recorder for MetricsRecorder {
     }
 
     #[inline]
-    fn high_water(&mut self, key: &'static str, value: u64) {
-        self.registry.high_water(key, value);
-    }
-
-    #[inline]
     fn span(&mut self, key: &'static str, seconds: f64) {
         self.registry.span(key, seconds);
     }
@@ -143,7 +134,6 @@ mod tests {
             acc = acc.wrapping_mul(31).wrapping_add(i);
             rec.add("iters", 1);
             rec.observe("acc_low", acc & 0xff);
-            rec.high_water("acc_max", acc);
             rec.trace(i as f64, i as u32, DesEventKind::Join, 1, 0);
         }
         rec.span("drive", 0.25);
@@ -164,7 +154,6 @@ mod tests {
         drive(&mut rec);
         assert_eq!(rec.registry().counter("iters"), Some(10));
         assert_eq!(rec.registry().histogram("acc_low").unwrap().count(), 10);
-        assert!(rec.registry().high_water_mark("acc_max").unwrap() > 0);
         assert_eq!(rec.registry().span_stats("drive").unwrap().count(), 1);
         // Ring capacity 4 keeps only the last 4 of 10 events.
         assert_eq!(rec.tracer().unwrap().len(), 4);

@@ -1,10 +1,10 @@
 //! [`ObsReport`] — the deterministic JSON sink for metrics sidecars.
 //!
-//! A report bundles a merged [`Registry`], optional [`MemoryAudit`] and
-//! free-form scalar fields, and renders them as pretty-printed JSON with
-//! **sorted keys and fixed float formatting** (`{:?}`, like every other
-//! hand-rolled writer in the workspace), so a sidecar's bytes depend
-//! only on the recorded values — never on recording order or platform.
+//! A report bundles a merged [`Registry`] and integer scalar fields, and
+//! renders them as pretty-printed JSON with **sorted keys and fixed float
+//! formatting** (`{:?}`, like every other hand-rolled writer in the
+//! workspace), so a sidecar's bytes depend only on the recorded values —
+//! never on recording order or platform.
 //! Sidecars are written *next to* scenario artefacts, never into them:
 //! the TSV/JSON outputs a sweep produces are byte-identical with
 //! observation on or off.
@@ -14,11 +14,10 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::mem::MemoryAudit;
 use crate::metrics::{Metric, Registry};
 
-/// A metrics sidecar: scalar context fields, a merged metric registry
-/// and an optional memory audit, rendered as deterministic JSON.
+/// A metrics sidecar: scalar context fields and a merged metric
+/// registry, rendered as deterministic JSON.
 ///
 /// # Example
 ///
@@ -28,7 +27,6 @@ use crate::metrics::{Metric, Registry};
 /// let mut reg = Registry::new();
 /// reg.add("events", 42);
 /// let mut report = ObsReport::new("demo");
-/// report.set_f64("wall_s", 1.5);
 /// report.set_u64("threads", 2);
 /// report.merge_registry(&reg);
 /// let json = report.to_json();
@@ -40,7 +38,6 @@ pub struct ObsReport {
     scenario: String,
     fields: Vec<(String, String)>,
     registry: Registry,
-    memory: Option<MemoryAudit>,
 }
 
 impl ObsReport {
@@ -51,26 +48,12 @@ impl ObsReport {
             scenario: scenario.to_string(),
             fields: Vec::new(),
             registry: Registry::new(),
-            memory: None,
         }
-    }
-
-    /// Sets (or replaces) a scalar float field.
-    pub fn set_f64(&mut self, key: &str, value: f64) {
-        self.set_raw(key, format!("{value:?}"));
     }
 
     /// Sets (or replaces) a scalar integer field.
     pub fn set_u64(&mut self, key: &str, value: u64) {
-        self.set_raw(key, value.to_string());
-    }
-
-    /// Sets (or replaces) a scalar string field.
-    pub fn set_str(&mut self, key: &str, value: &str) {
-        self.set_raw(key, format!("\"{value}\""));
-    }
-
-    fn set_raw(&mut self, key: &str, rendered: String) {
+        let rendered = value.to_string();
         match self.fields.iter_mut().find(|(k, _)| k == key) {
             Some((_, v)) => *v = rendered,
             None => self.fields.push((key.to_string(), rendered)),
@@ -81,11 +64,6 @@ impl ObsReport {
     /// everywhere).
     pub fn merge_registry(&mut self, reg: &Registry) {
         self.registry.merge(reg);
-    }
-
-    /// Attaches a memory audit.
-    pub fn set_memory(&mut self, audit: MemoryAudit) {
-        self.memory = Some(audit);
     }
 
     /// The merged registry (for assertions in tests).
@@ -116,9 +94,6 @@ impl ObsReport {
             match metric {
                 Metric::Counter(c) => {
                     let _ = writeln!(s, "    \"{key}\": {c}{comma}");
-                }
-                Metric::HighWater(hw) => {
-                    let _ = writeln!(s, "    \"{key}\": {hw}{comma}");
                 }
                 Metric::Histogram(h) => {
                     let _ = write!(
@@ -151,13 +126,7 @@ impl ObsReport {
                 }
             }
         }
-        s.push_str("  }");
-
-        if let Some(mem) = &self.memory {
-            s.push_str(",\n  \"memory\": ");
-            s.push_str(&mem.to_json());
-        }
-        s.push_str("\n}\n");
+        s.push_str("  }\n}\n");
         s
     }
 
@@ -177,18 +146,15 @@ mod tests {
     fn sample_report() -> ObsReport {
         let mut reg = Registry::new();
         reg.add("z.counter", 7);
-        reg.high_water("a.depth", 12);
+        reg.add("a.events", 12);
         reg.observe("m.hist", 5);
         reg.observe("m.hist", 300);
         reg.span("m.span", 0.5);
         let mut report = ObsReport::new("unit");
-        report.set_f64("wall_s", 2.25);
+        report.set_u64("wall_ms", 2250);
         report.set_u64("shards", 4);
-        report.set_str("mode", "duel");
+        report.set_u64("cells", 3);
         report.merge_registry(&reg);
-        let mut audit = MemoryAudit::new(100);
-        audit.record("arena", 640);
-        report.set_memory(audit);
         report
     }
 
@@ -197,19 +163,17 @@ mod tests {
         let a = sample_report().to_json();
         let b = sample_report().to_json();
         assert_eq!(a, b);
-        // Scalar fields sorted: mode < shards < wall_s.
-        let mode = a.find("\"mode\"").unwrap();
+        // Scalar fields sorted: cells < shards < wall_ms.
+        let cells = a.find("\"cells\"").unwrap();
         let shards = a.find("\"shards\"").unwrap();
-        let wall = a.find("\"wall_s\"").unwrap();
-        assert!(mode < shards && shards < wall);
-        // Metric keys sorted: a.depth < m.hist < m.span < z.counter.
-        let d = a.find("\"a.depth\"").unwrap();
+        let wall = a.find("\"wall_ms\"").unwrap();
+        assert!(cells < shards && shards < wall);
+        // Metric keys sorted: a.events < m.hist < m.span < z.counter.
+        let d = a.find("\"a.events\"").unwrap();
         let h = a.find("\"m.hist\"").unwrap();
         let sp = a.find("\"m.span\"").unwrap();
         let c = a.find("\"z.counter\"").unwrap();
         assert!(d < h && h < sp && sp < c);
-        assert!(a.contains("\"memory\""));
-        assert!(a.contains("\"bytes_per_node\":6.4"));
     }
 
     #[test]

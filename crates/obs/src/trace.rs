@@ -6,8 +6,6 @@
 //! (one record per line, sorted keys, `{:?}`-formatted floats, matching
 //! the repo's other hand-rolled writers).
 
-use std::io::{self, Write};
-
 /// The DES event taxonomy, mirroring the branches of the engine's
 /// `churn_event` (join admitted/rejected, leave from core/spare,
 /// self-loops) plus the engine-level transitions (induced eviction,
@@ -201,17 +199,6 @@ impl TraceRing {
             .chain(self.records[..split].iter())
     }
 
-    /// Writes the held records as JSONL, oldest first.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from `w`.
-    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        for rec in self.iter_in_order() {
-            writeln!(w, "{}", rec.to_jsonl())?;
-        }
-        Ok(())
-    }
-
     /// Merges rings from several shards into one chronological record
     /// list, stable across shard boundaries (ties broken by shard order —
     /// the caller passes shards in shard-index order, the fixed merge
@@ -267,11 +254,10 @@ mod tests {
     fn jsonl_export_is_deterministic_and_sorted_keys() {
         let mut ring = TraceRing::new(2);
         ring.push(0.5, 3, DesEventKind::InducedEviction, 2, 1);
-        let mut out = Vec::new();
-        ring.write_jsonl(&mut out).unwrap();
+        let lines: Vec<String> = ring.iter_in_order().map(TraceRecord::to_jsonl).collect();
         assert_eq!(
-            String::from_utf8(out).unwrap(),
-            "{\"cluster\":3,\"kind\":\"induced_eviction\",\"time\":0.5,\"x\":2,\"y\":1}\n"
+            lines,
+            ["{\"cluster\":3,\"kind\":\"induced_eviction\",\"time\":0.5,\"x\":2,\"y\":1}"]
         );
     }
 

@@ -40,16 +40,6 @@ impl Binomial {
         Ok(Binomial { n, p })
     }
 
-    /// Number of trials.
-    pub fn trials(&self) -> u64 {
-        self.n
-    }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Probability of exactly `x` successes; 0 when `x > n`.
     pub fn pmf(&self, x: u64) -> f64 {
         if x > self.n {
@@ -70,24 +60,6 @@ impl Binomial {
                 + (self.n - x) as f64 * (1.0 - self.p).ln())
             .exp()
         }
-    }
-
-    /// Cumulative distribution `P(X ≤ x)`.
-    pub fn cdf(&self, x: u64) -> f64 {
-        (0..=x.min(self.n))
-            .map(|i| self.pmf(i))
-            .sum::<f64>()
-            .min(1.0)
-    }
-
-    /// Mean `n p`.
-    pub fn mean(&self) -> f64 {
-        self.n as f64 * self.p
-    }
-
-    /// Variance `n p (1 − p)`.
-    pub fn variance(&self) -> f64 {
-        self.n as f64 * self.p * (1.0 - self.p)
     }
 
     /// Samples by `n` Bernoulli trials (exact; `n` is small throughout the
@@ -190,25 +162,13 @@ mod tests {
     }
 
     #[test]
-    fn cdf_monotone_and_complete() {
-        let b = Binomial::new(9, 0.4).unwrap();
-        let mut prev = 0.0;
-        for x in 0..=9 {
-            let c = b.cdf(x);
-            assert!(c >= prev - 1e-15);
-            prev = c;
-        }
-        assert!((b.cdf(9) - 1.0).abs() < 1e-12);
-        assert!((b.cdf(100) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn moments_match_pmf() {
         let b = Binomial::new(11, 0.35).unwrap();
         let mean: f64 = (0..=11).map(|x| x as f64 * b.pmf(x)).sum();
         let var: f64 = (0..=11).map(|x| (x as f64 - mean).powi(2) * b.pmf(x)).sum();
-        assert!((mean - b.mean()).abs() < 1e-10);
-        assert!((var - b.variance()).abs() < 1e-10);
+        // n p and n p (1 − p).
+        assert!((mean - 11.0 * 0.35).abs() < 1e-10);
+        assert!((var - 11.0 * 0.35 * 0.65).abs() < 1e-10);
     }
 
     #[test]
@@ -225,7 +185,8 @@ mod tests {
         let n = 20_000;
         let sum: u64 = (0..n).map(|_| b.sample(&mut rng)).sum();
         let emp = sum as f64 / n as f64;
-        assert!((emp - b.mean()).abs() < 0.1, "empirical {emp}");
+        // n p = 5.
+        assert!((emp - 5.0).abs() < 0.1, "empirical {emp}");
     }
 
     #[test]

@@ -77,25 +77,6 @@ fn stirling_ln_factorial(n: f64) -> f64 {
         + 1.0 / (1260.0 * n.powi(5))
 }
 
-/// Falling factorial `n (n−1) ⋯ (n−k+1)` as `f64`.
-///
-/// ```
-/// use pollux_prob::comb::falling_factorial;
-/// assert_eq!(falling_factorial(5, 2), 20.0);
-/// assert_eq!(falling_factorial(5, 0), 1.0);
-/// assert_eq!(falling_factorial(2, 5), 0.0);
-/// ```
-pub fn falling_factorial(n: u64, k: u64) -> f64 {
-    if k > n {
-        return 0.0;
-    }
-    let mut acc = 1.0;
-    for j in 0..k {
-        acc *= (n - j) as f64;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,16 +146,5 @@ mod tests {
         let a = ln_factorial(256) + (257f64).ln();
         let b = ln_factorial(257);
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-    }
-
-    #[test]
-    fn falling_factorial_relates_to_binomial() {
-        for n in 0..20u64 {
-            for k in 0..=n {
-                let lhs = falling_factorial(n, k);
-                let rhs = binomial_exact(n, k).unwrap() as f64 * ln_factorial(k).exp();
-                assert!((lhs - rhs).abs() < 1e-6 * lhs.max(1.0), "n={n} k={k}");
-            }
-        }
     }
 }

@@ -65,17 +65,6 @@ pub fn fill<R: rand::Rng + ?Sized>(rng: &mut R, rate: f64, out: &mut [f64]) {
     }
 }
 
-/// Inverse CDF of `Exp(rate)` at probability `p`.
-///
-/// # Panics
-///
-/// Panics if `rate <= 0` or `p` is outside `[0, 1)`.
-pub fn quantile(rate: f64, p: f64) -> f64 {
-    assert!(rate > 0.0, "rate must be positive");
-    assert!((0.0..1.0).contains(&p), "p must be in [0,1), got {p}");
-    -(1.0 - p).ln() / rate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,12 +102,6 @@ mod tests {
                 assert!(x >= 0.0);
             }
         }
-    }
-
-    #[test]
-    fn quantile_known_values() {
-        assert!((quantile(1.0, 0.5) - std::f64::consts::LN_2).abs() < 1e-15);
-        assert_eq!(quantile(2.0, 0.0), 0.0);
     }
 
     #[test]

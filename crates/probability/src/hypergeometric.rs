@@ -54,21 +54,6 @@ impl Hypergeometric {
         })
     }
 
-    /// Urn size `ℓ`.
-    pub fn population(&self) -> u64 {
-        self.population
-    }
-
-    /// Number of red balls `v`.
-    pub fn successes(&self) -> u64 {
-        self.successes
-    }
-
-    /// Sample size `k`.
-    pub fn draws(&self) -> u64 {
-        self.draws
-    }
-
     /// Inclusive support bounds `[max(0, k+v−ℓ), min(k, v)]`.
     pub fn support(&self) -> (u64, u64) {
         let lo = (self.draws + self.successes).saturating_sub(self.population);
@@ -95,30 +80,6 @@ impl Hypergeometric {
                 - ln_binomial(self.population, self.draws))
             .exp()
         }
-    }
-
-    /// Upper-tail mass `P(U ≥ u)`.
-    pub fn sf_geq(&self, u: u64) -> f64 {
-        let (lo, hi) = self.support();
-        (u.max(lo)..=hi).map(|i| self.pmf(i)).sum()
-    }
-
-    /// Mean `k v / ℓ` (0 for an empty urn).
-    pub fn mean(&self) -> f64 {
-        if self.population == 0 {
-            return 0.0;
-        }
-        self.draws as f64 * self.successes as f64 / self.population as f64
-    }
-
-    /// Variance `k (v/ℓ)(1 − v/ℓ)(ℓ−k)/(ℓ−1)` (0 for urns of size ≤ 1).
-    pub fn variance(&self) -> f64 {
-        if self.population <= 1 {
-            return 0.0;
-        }
-        let l = self.population as f64;
-        let p = self.successes as f64 / l;
-        self.draws as f64 * p * (1.0 - p) * (l - self.draws as f64) / (l - 1.0)
     }
 
     /// Samples a variate by simulating the sequential draw, which is exact
@@ -219,17 +180,9 @@ mod tests {
         let var: f64 = (lo..=hi)
             .map(|u| (u as f64 - mean).powi(2) * h.pmf(u))
             .sum();
-        assert!((mean - h.mean()).abs() < 1e-10);
-        assert!((var - h.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn tail_sum() {
-        let h = Hypergeometric::new(10, 4, 3).unwrap();
-        let manual: f64 = (2..=3).map(|u| h.pmf(u)).sum();
-        assert!((h.sf_geq(2) - manual).abs() < 1e-14);
-        assert!((h.sf_geq(0) - 1.0).abs() < 1e-12);
-        assert_eq!(h.sf_geq(7), 0.0);
+        // k v / ℓ and k (v/ℓ)(1 − v/ℓ)(ℓ − k)/(ℓ − 1).
+        assert!((mean - 5.0 * 8.0 / 20.0).abs() < 1e-10);
+        assert!((var - 5.0 * 0.4 * 0.6 * 15.0 / 19.0).abs() < 1e-10);
     }
 
     #[test]
@@ -246,12 +199,8 @@ mod tests {
         let n = 20_000;
         let sum: u64 = (0..n).map(|_| h.sample(&mut rng)).sum();
         let emp_mean = sum as f64 / n as f64;
-        // std-err ≈ sqrt(var/n) ≈ 0.01; allow 5 sigma.
-        assert!(
-            (emp_mean - h.mean()).abs() < 0.06,
-            "empirical {emp_mean} vs {}",
-            h.mean()
-        );
+        // k v / ℓ = 4; std-err ≈ sqrt(var/n) ≈ 0.01; allow 5 sigma.
+        assert!((emp_mean - 4.0).abs() < 0.06, "empirical {emp_mean} vs 4");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use pollux_prob::comb::{binomial, binomial_exact, ln_binomial};
-use pollux_prob::{hypergeometric_q, AliasTable, Binomial, Hypergeometric};
+use pollux_prob::{hypergeometric_q, Binomial, Hypergeometric};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -39,15 +39,6 @@ proptest! {
     }
 
     #[test]
-    fn hypergeometric_mean_identity(l in 1u64..50, v in 0u64..50, k in 0u64..50) {
-        prop_assume!(v <= l && k <= l);
-        let h = Hypergeometric::new(l, v, k).unwrap();
-        let (lo, hi) = h.support();
-        let mean: f64 = (lo..=hi).map(|u| u as f64 * h.pmf(u)).sum();
-        prop_assert!((mean - h.mean()).abs() < 1e-9);
-    }
-
-    #[test]
     fn binomial_pmf_sums_and_recursion(n in 0u64..40, p in 0.0f64..=1.0) {
         let b = Binomial::new(n, p).unwrap();
         let total: f64 = (0..=n).map(|x| b.pmf(x)).sum();
@@ -68,16 +59,6 @@ proptest! {
         let exact = binomial_exact(n, k).unwrap() as f64;
         let via_ln = ln_binomial(n, k).exp();
         prop_assert!((via_ln / exact - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn alias_table_preserves_normalized_weights(weights in proptest::collection::vec(0.0f64..10.0, 1..12)) {
-        prop_assume!(weights.iter().sum::<f64>() > 1e-9);
-        let table = AliasTable::new(&weights).unwrap();
-        let total: f64 = weights.iter().sum();
-        for (i, &w) in weights.iter().enumerate() {
-            prop_assert!((table.weight(i) - w / total).abs() < 1e-12);
-        }
     }
 
     #[test]

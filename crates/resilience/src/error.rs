@@ -49,18 +49,6 @@ impl FailureKind {
                 | FailureKind::MemoryBudget { .. }
         )
     }
-
-    /// A short machine-readable tag (`panic`, `no_convergence`,
-    /// `memory_budget`, `fatal`) for metrics sidecars and journals.
-    #[must_use]
-    pub fn tag(&self) -> &'static str {
-        match self {
-            FailureKind::Panic(_) => "panic",
-            FailureKind::NoConvergence(_) => "no_convergence",
-            FailureKind::MemoryBudget { .. } => "memory_budget",
-            FailureKind::Fatal(_) => "fatal",
-        }
-    }
 }
 
 impl fmt::Display for FailureKind {
@@ -141,6 +129,5 @@ mod tests {
         assert!(msg.contains("duel_matrix"));
         assert!(msg.contains("3 attempt(s)"));
         assert!(msg.contains("index out of bounds"));
-        assert_eq!(failure.kind.tag(), "panic");
     }
 }

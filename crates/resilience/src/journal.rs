@@ -23,6 +23,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
+use crate::json::{self, Json};
+
 /// Stable FNV-1a 64-bit hash (the workspace's standard content hash —
 /// the same scheme the sweep runner uses for scenario-name seeding).
 #[must_use]
@@ -121,19 +123,19 @@ impl JournalHeader {
 
     fn to_line(&self) -> String {
         format!(
-            "{{\"pollux_journal\":{},\"master_seed\":{},\"label\":{}}}",
+            "{{\"pollux_journal\":{},\"master_seed\":{},\"label\":\"{}\"}}",
             self.version,
             self.master_seed,
-            quote(&self.label)
+            json::escape(&self.label)
         )
     }
 
     fn parse(line: &str) -> Result<Self, String> {
-        let fields = parse_object(line)?;
+        let line = parse_line(line)?;
         Ok(JournalHeader {
-            version: take_u64(&fields, "pollux_journal")?,
-            master_seed: take_u64(&fields, "master_seed")?,
-            label: take_str(&fields, "label")?,
+            version: field(&line, "pollux_journal", Json::as_u64)?,
+            master_seed: field(&line, "master_seed", Json::as_u64)?,
+            label: field(&line, "label", Json::as_str)?.to_string(),
         })
     }
 }
@@ -182,25 +184,25 @@ impl JournalEntry {
 
     fn to_line(&self) -> String {
         format!(
-            "{{\"scenario\":{},\"cell\":{},\"seed\":{},\"columns\":{},\"hash\":{},\"payload\":{}}}",
-            quote(&self.scenario),
+            "{{\"scenario\":\"{}\",\"cell\":{},\"seed\":{},\"columns\":{},\"hash\":{},\"payload\":\"{}\"}}",
+            json::escape(&self.scenario),
             self.cell_index,
             self.seed,
             self.columns_hash,
             self.hash,
-            quote(&self.payload)
+            json::escape(&self.payload)
         )
     }
 
     fn parse(line: &str) -> Result<Self, String> {
-        let fields = parse_object(line)?;
+        let line = parse_line(line)?;
         let entry = JournalEntry {
-            scenario: take_str(&fields, "scenario")?,
-            cell_index: take_u64(&fields, "cell")?,
-            seed: take_u64(&fields, "seed")?,
-            columns_hash: take_u64(&fields, "columns")?,
-            hash: take_u64(&fields, "hash")?,
-            payload: take_str(&fields, "payload")?,
+            scenario: field(&line, "scenario", Json::as_str)?.to_string(),
+            cell_index: field(&line, "cell", Json::as_u64)?,
+            seed: field(&line, "seed", Json::as_u64)?,
+            columns_hash: field(&line, "columns", Json::as_u64)?,
+            hash: field(&line, "hash", Json::as_u64)?,
+            payload: field(&line, "payload", Json::as_str)?.to_string(),
         };
         let actual = fnv1a64(entry.payload.as_bytes());
         if actual != entry.hash {
@@ -417,134 +419,40 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Minimal flat-object JSON line codec (keys → u64 or string). The
-// journal's lines are machine-written with exactly these shapes; the
-// parser rejects anything else rather than guessing.
+// Line codec: the workspace's one JSON codec (`crate::json`) escapes the
+// strings and parses the lines. The journal's lines are machine-written
+// flat objects whose values are non-negative integers or strings; a line
+// of any other shape is rejected rather than guessed at.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, PartialEq)]
-enum Field {
-    U64(u64),
-    Str(String),
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Parses one line: a single JSON object whose values are all
+/// non-negative integers or strings.
+fn parse_line(line: &str) -> Result<Json, String> {
+    let value = Json::parse(line)?;
+    let Json::Obj(fields) = &value else {
+        return Err("expected a JSON object".into());
+    };
+    for (key, v) in fields {
+        if !matches!(v, Json::Str(_)) && v.as_u64().is_none() {
+            return Err(format!("unsupported value for '{key}': {v:?}"));
         }
     }
-    out.push('"');
-    out
+    Ok(value)
 }
 
-fn parse_object(line: &str) -> Result<Vec<(String, Field)>, String> {
-    let mut chars = line.chars().peekable();
-    let mut fields = Vec::new();
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    loop {
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            other => return Err(format!("expected key string, found {other:?}")),
-        }
-        let key = parse_string(&mut chars)?;
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key '{key}'"));
-        }
-        let value = match chars.peek() {
-            Some('"') => Field::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while let Some(c) = chars.peek() {
-                    if c.is_ascii_digit() {
-                        digits.push(*c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                Field::U64(
-                    digits
-                        .parse()
-                        .map_err(|e| format!("bad number for '{key}': {e}"))?,
-                )
-            }
-            other => return Err(format!("unsupported value for '{key}': {other:?}")),
-        };
-        fields.push((key, value));
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-    if chars.next().is_some() {
-        return Err("trailing bytes after object".into());
-    }
-    Ok(fields)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".into());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated string".into()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('r') => out.push('\r'),
-                Some('u') => {
-                    let code: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let cp = u32::from_str_radix(&code, 16)
-                        .map_err(|_| format!("bad \\u escape '{code}'"))?;
-                    out.push(char::from_u32(cp).ok_or_else(|| format!("bad code point {cp}"))?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-        }
-    }
-}
-
-fn take_u64(fields: &[(String, Field)], key: &str) -> Result<u64, String> {
-    match fields.iter().find(|(k, _)| k == key) {
-        Some((_, Field::U64(v))) => Ok(*v),
-        Some((_, Field::Str(_))) => Err(format!("field '{key}' is not a number")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-fn take_str(fields: &[(String, Field)], key: &str) -> Result<String, String> {
-    match fields.iter().find(|(k, _)| k == key) {
-        Some((_, Field::Str(v))) => Ok(v.clone()),
-        Some((_, Field::U64(_))) => Err(format!("field '{key}' is not a string")),
-        None => Err(format!("missing field '{key}'")),
-    }
+/// Field `key` of a line from [`parse_line`], read through `as_t`.
+fn field<'a, T>(line: &'a Json, key: &str, as_t: fn(&'a Json) -> Option<T>) -> Result<T, String> {
+    let value = line
+        .get(key)
+        .ok_or_else(|| format!("missing field '{key}'"))?;
+    as_t(value).ok_or_else(|| format!("field '{key}' has the wrong type"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::awkward_char;
+    use proptest::prelude::*;
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -714,5 +622,48 @@ mod tests {
         let entry = JournalEntry::new(awkward, 1, 2, 3, awkward.to_string());
         let parsed = JournalEntry::parse(&entry.to_line()).unwrap();
         assert_eq!(parsed, entry);
+    }
+
+    #[test]
+    fn non_integer_and_nested_values_are_corrupt() {
+        // A committed line whose `cell` is not a non-negative integer
+        // (a float, a negative, a numeric string, a nested object), or
+        // that carries a nested value in a field nobody reads, fails as
+        // corruption naming its line, like any other malformed line.
+        for bad in ["1.5", "-1", "\"7\"", "{\"n\":7}", "2,\"note\":[1]"] {
+            let path = temp_path("badvalue");
+            let mut journal = Journal::create(&path, &JournalHeader::new(1, "x")).unwrap();
+            for e in &sample_entries()[..2] {
+                journal.append(e).unwrap();
+            }
+            drop(journal);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            assert!(lines[2].contains("\"cell\":2,"));
+            lines[2] = lines[2].replace("\"cell\":2,", &format!("\"cell\":{bad},"));
+            std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+            match Journal::replay(&path) {
+                // Header is line 1; the tampered second entry is line 3.
+                Err(JournalError::Corrupt { line: 3, .. }) => {}
+                other => panic!("cell {bad}: expected Corrupt at line 3, got {other:?}"),
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn entry_lines_round_trip(
+            scenario in collection::vec(any::<u32>(), 0..24),
+            payload in collection::vec(any::<u32>(), 0..48),
+            (cell, seed, columns) in (any::<u64>(), any::<u64>(), any::<u64>()),
+        ) {
+            let scenario: String = scenario.into_iter().filter_map(awkward_char).collect();
+            let payload: String = payload.into_iter().filter_map(awkward_char).collect();
+            let entry = JournalEntry::new(&scenario, cell, seed, columns, payload);
+            prop_assert_eq!(JournalEntry::parse(&entry.to_line()).unwrap(), entry);
+        }
     }
 }

@@ -1,14 +1,15 @@
-//! A minimal JSON value, parser and writer for the corpus and summary
-//! files.
+//! The workspace's one JSON codec: a minimal value type, parser and
+//! string escaper.
 //!
-//! The workspace has no serde; every artefact writer in the repo
-//! hand-rolls its JSON. The fuzzer additionally needs to *read* JSON
-//! back (the regression corpus), so this module adds a small
-//! recursive-descent parser over the subset the corpus uses: objects,
-//! arrays, strings with the standard escapes, `true`/`false`/`null`,
-//! and numbers. Numbers keep their raw source text so `u64` fields
-//! (seeds span the full 64-bit range) round-trip without an `f64`
-//! detour.
+//! The workspace has no serde. Its writers hand-roll their JSON but
+//! escape every string through [`escape`]: the completion journal
+//! ([`crate::journal`]), the sweep's JSON artefacts and the fuzz corpus
+//! and summary. Its readers (the journal's replay and the fuzz corpus)
+//! go through [`Json::parse`], a small recursive-descent parser over the
+//! subset those files use: objects, arrays, strings with the standard
+//! escapes, `true`/`false`/`null`, and numbers. Numbers keep their raw
+//! source text so `u64` fields (seeds span the full 64-bit range)
+//! round-trip without an `f64` detour.
 
 use std::fmt::Write as _;
 
@@ -196,11 +197,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the corpus is valid UTF-8).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // piece, so a string costs time linear in its length. Both
+                // stops are ASCII, so the run of the valid UTF-8 input ends
+                // on a character boundary.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |i| *pos + i);
+                out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -287,9 +293,27 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// A character from one of the classes escaping must get right,
+/// picked by the low two bits of `x`: control characters, the
+/// characters JSON escapes by name (plus `/` and a space), non-BMP
+/// code points, and any code point, through `char::from_u32` (which
+/// drops the surrogates). Test support for the codec's round-trip
+/// properties here and in [`crate::journal`].
+#[cfg(test)]
+pub(crate) fn awkward_char(x: u32) -> Option<char> {
+    let y = x >> 2;
+    match x & 3 {
+        0 => char::from_u32(y % 0x20),
+        1 => Some(['"', '\\', '/', ' '][y as usize % 4]),
+        2 => char::from_u32(0x1_0000 + y % 0x10_0000),
+        _ => char::from_u32(y % 0x11_0000),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_nested_documents() {
@@ -329,5 +353,16 @@ mod tests {
         assert_eq!(fmt_f64(0.25), "0.25");
         let tricky = 0.1 + 0.2;
         assert_eq!(fmt_f64(tricky).parse::<f64>().unwrap(), tricky);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn escaped_strings_parse_back_exactly(codes in collection::vec(any::<u32>(), 0..48)) {
+            let s: String = codes.into_iter().filter_map(awkward_char).collect();
+            let parsed = Json::parse(&format!("\"{}\"", escape(&s))).unwrap();
+            prop_assert_eq!(parsed, Json::Str(s));
+        }
     }
 }

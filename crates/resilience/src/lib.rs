@@ -40,6 +40,7 @@
 mod error;
 pub mod fault;
 pub mod journal;
+pub mod json;
 pub mod memory;
 pub mod panic_guard;
 pub mod retry;

@@ -38,24 +38,6 @@ pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, FailureKind> {
     })
 }
 
-/// Runs `f` with the default panic hook silenced, so deliberate panics
-/// (fault injection, negative tests) don't spam stderr with backtraces.
-///
-/// Takes and restores the hook around `f`; intended for test harnesses,
-/// not the hot path (the hook is process-global, so concurrent
-/// *unexpected* panics elsewhere are silenced too while `f` runs).
-///
-/// # Errors
-///
-/// As [`catch_panic`].
-pub fn catch_panic_silent<T>(f: impl FnOnce() -> T) -> Result<T, FailureKind> {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = catch_panic(f);
-    std::panic::set_hook(hook);
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,16 +49,16 @@ mod tests {
 
     #[test]
     fn str_and_string_payloads_are_preserved() {
-        let e = catch_panic_silent(|| -> u32 { panic!("exact message") }).unwrap_err();
+        let e = catch_panic(|| -> u32 { panic!("exact message") }).unwrap_err();
         assert_eq!(e, FailureKind::Panic("exact message".into()));
-        let e = catch_panic_silent(|| -> u32 { panic!("formatted {}", 7) }).unwrap_err();
+        let e = catch_panic(|| -> u32 { panic!("formatted {}", 7) }).unwrap_err();
         assert_eq!(e, FailureKind::Panic("formatted 7".into()));
     }
 
     #[test]
     fn expect_style_panics_carry_their_message() {
         #[allow(clippy::unnecessary_literal_unwrap)]
-        let e = catch_panic_silent(|| {
+        let e = catch_panic(|| {
             // Deliberately the `Option::expect` shape the pre-resilience
             // runner died on, so the message round-trip is the one that
             // matters in practice.
@@ -92,7 +74,7 @@ mod tests {
 
     #[test]
     fn non_string_payloads_do_not_crash_the_guard() {
-        let e = catch_panic_silent(|| std::panic::panic_any(1234usize)).unwrap_err();
+        let e = catch_panic(|| std::panic::panic_any(1234usize)).unwrap_err();
         assert_eq!(e, FailureKind::Panic("non-string panic payload".into()));
     }
 }

@@ -1002,20 +1002,6 @@ impl OutputKind {
         };
         Some(tables + shards as u64 * PER_SHARD_OVERHEAD_BYTES)
     }
-
-    /// `true` when the kind consumes randomness (its artefacts depend on
-    /// the master seed as well as the grid).
-    pub fn is_monte_carlo(&self) -> bool {
-        matches!(
-            self,
-            OutputKind::McValidation { .. }
-                | OutputKind::OverlayMcValidation { .. }
-                | OutputKind::DesValidation { .. }
-                | OutputKind::DesSteadyState { .. }
-                | OutputKind::Duel { .. }
-                | OutputKind::MeanFieldValidation { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -1143,7 +1129,6 @@ mod tests {
         assert_eq!(rows[1][0].as_f64().unwrap(), 256.0);
         assert_eq!(rows, kind.evaluate(&cell, 17, 1).unwrap());
         assert_ne!(rows, kind.evaluate(&cell, 18, 1).unwrap());
-        assert!(kind.is_monte_carlo());
     }
 
     #[test]
@@ -1183,7 +1168,6 @@ mod tests {
             rows[0][at("p_ever_polluted")].as_f64().unwrap(),
             a.pollution_probability().unwrap()
         );
-        assert!(!OutputKind::StateSpaceScaling.is_monte_carlo());
     }
 
     #[test]
@@ -1209,7 +1193,6 @@ mod tests {
         assert_eq!(rows[0][at("n_clusters")].as_f64(), Some(128.0));
         assert_eq!(rows[0][at("n_samples")].as_f64(), Some(3.0));
         assert_eq!(rows[0][at("ok")].as_bool(), Some(true), "rows: {rows:?}");
-        assert!(kind.is_monte_carlo());
         // Unsorted grids are a scenario error, not a panic.
         let bad = OutputKind::DesSteadyState {
             cluster_bits: vec![4],
@@ -1262,7 +1245,6 @@ mod tests {
             rows[1][at("analytic_polluted")].as_f64().unwrap()
                 < rows[1][at("baseline_polluted")].as_f64().unwrap()
         );
-        assert!(kind.is_monte_carlo());
     }
 
     #[test]
@@ -1291,7 +1273,6 @@ mod tests {
         // ~log2(0.5/0.01) probes, where the old grid scan spent one full
         // exact battery per grid point.
         assert!(rows[0][at("evaluations")].as_f64().unwrap() <= 12.0);
-        assert!(!kind.is_monte_carlo());
         assert_eq!(
             rows,
             kind.evaluate(&cell, 77, 1).unwrap(),
@@ -1338,7 +1319,6 @@ mod tests {
         let exact = rows[0][at("exact_polluted")].as_f64().unwrap();
         assert!((mf - exact).abs() <= 1e-7, "fluid {mf} vs exact {exact}");
         assert_eq!(rows[0][at("ok")].as_bool(), Some(true), "rows: {rows:?}");
-        assert!(kind.is_monte_carlo());
         // Seed-deterministic like every Monte-Carlo kind.
         assert_eq!(rows, kind.evaluate(&cell, 11, 1).unwrap());
         // A DES shard prediction exists for the memory planner.
@@ -1364,7 +1344,6 @@ mod tests {
             assert!(row[at("gap")].as_f64().unwrap() >= 0.0);
             assert_eq!(row[at("stable")].as_bool(), Some(true));
         }
-        assert!(!kind.is_monte_carlo());
         // Malformed amplification lists are rejected.
         let bad = OutputKind::MeanFieldEquilibrium {
             amplifications: vec![-1.0],
@@ -1386,7 +1365,5 @@ mod tests {
             kind.evaluate(&cell, 99, 1).unwrap(),
             kind.evaluate(&cell, 99, 1).unwrap()
         );
-        assert!(kind.is_monte_carlo());
-        assert!(!OutputKind::Sojourns.is_monte_carlo());
     }
 }

@@ -1,5 +1,7 @@
 use std::fmt;
 
+use pollux_resilience::json;
+
 /// One typed cell of a [`crate::SweepReport`] row.
 ///
 /// The `Display` impl defines the on-disk TSV encoding; floats use Rust's
@@ -48,29 +50,8 @@ impl Value {
             }
             Value::F64(_) => "null".to_string(),
             Value::Bool(b) => b.to_string(),
-            Value::Str(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-                out
-            }
+            Value::Str(s) => format!("\"{}\"", json::escape(s)),
         }
-    }
-
-    /// `true` for numeric variants (used for table alignment).
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Value::U64(_) | Value::F64(_))
     }
 }
 

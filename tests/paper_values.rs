@@ -230,7 +230,8 @@ fn figure5_inferred_mu25_peak() {
     let params = ModelParams::paper_defaults().with_mu(0.25).with_d(0.9);
     let model = pollux::OverlayModel::new(&params, InitialCondition::Delta, 500).unwrap();
     let points: Vec<u64> = (0..=50).map(|i| i * 2000).collect();
-    let (_, peak) = model.peak_polluted(&points).unwrap();
+    let series = model.proportion_series(&points).unwrap();
+    let peak = series.iter().map(|p| p.polluted).fold(0.0, f64::max);
     assert!(peak < 0.022, "peak {peak}");
     assert!(peak > 0.020, "peak {peak}");
 }
