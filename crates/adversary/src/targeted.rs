@@ -32,16 +32,6 @@ impl TargetedStrategy {
         }
         Some(TargetedStrategy { k, nu })
     }
-
-    /// The randomization amount `k` the strategy assumes.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The Rule-1 threshold `ν`.
-    pub fn nu(&self) -> f64 {
-        self.nu
-    }
 }
 
 impl Strategy for TargetedStrategy {
@@ -76,8 +66,6 @@ mod tests {
         assert!(TargetedStrategy::new(1, 0.0).is_none());
         assert!(TargetedStrategy::new(1, 1.0).is_none());
         let s = TargetedStrategy::new(3, 0.2).unwrap();
-        assert_eq!(s.k(), 3);
-        assert_eq!(s.nu(), 0.2);
         assert_eq!(s.name(), "targeted");
         assert!(s.biases_maintenance());
     }

@@ -9,12 +9,13 @@
 //!   the sparse renewal path, per state-space size.
 //! * **planet-scale what-if** — `planet_scale_what_if` at 10⁸ and 10⁹
 //!   nodes (equilibrium + node-weighted pollution + spectral-gap
-//!   stability in one call). `cell_s` is the cold path: every sample
-//!   asks a μ the process has not asked before, so the what-if memo
-//!   misses and the whole computation runs. The acceptance bar is < 1 ms
-//!   per cold cell: the fluid limit answers questions no finite-state
-//!   engine can even represent, in microseconds. `warm_cell_s` repeats
-//!   one question the memo already holds (a fold plus a lookup).
+//!   stability in one call). `cell_s` is the cold path: the 25th
+//!   percentile of [`COLD_CELLS`] cells, each asking a μ the process has
+//!   not asked before, so the what-if memo misses and the whole
+//!   computation runs. The acceptance bar is < 1 ms per cold cell: the
+//!   fluid limit answers questions no finite-state engine can even
+//!   represent, in microseconds. `warm_cell_s` repeats one question the
+//!   memo already holds (a fold plus a lookup).
 //! * **control tuning vs legacy grid** — `tune_induced_churn`
 //!   (mean-field bisection + one exact-chain verification) against the
 //!   pre-PR `defense_frontier` idiom: an exact-chain scan over an
@@ -26,8 +27,13 @@
 //!
 //! * `POLLUX_BENCH_QUICK=1` — CI smoke: smallest ladder, two samples.
 //!
-//! Timings are min-of-N (N = 3): every section is deterministic, so the
-//! fastest run is the least-perturbed one.
+//! The other timings are min-of-N (N = 3): every section is
+//! deterministic, so the fastest run is the least-perturbed one. The
+//! cold what-if, which carries the only wall-clock assertion, uses a low
+//! percentile of many fresh cells instead: a min of 3 read anywhere from
+//! 0.80 to 1.40 ms on one commit, so the machine's load could flip the
+//! gate, while the 25th percentile of 33 (about the quantile a min of 3
+//! estimates) holds still.
 
 use std::time::Instant;
 
@@ -61,6 +67,9 @@ fn json_secs(v: f64) -> String {
         "null".to_string()
     }
 }
+
+/// Cold what-if cells timed per node count.
+const COLD_CELLS: usize = 33;
 
 /// Min-of-`samples` wall clock of `f`, returning the last result too.
 fn time_best<T>(samples: usize, mut f: impl FnMut() -> T) -> (T, f64) {
@@ -122,17 +131,23 @@ fn main() {
 
     // ── 2. planet-scale what-if ──────────────────────────────────────
     let paper = ModelParams::paper_defaults().with_mu(0.2).with_d(0.9);
-    // Cold samples perturb μ by a step no other sample uses, so the memo
+    // Cold cells perturb μ by a step no other cell uses, so the memo
     // (keyed by every parameter's bits, not by the node count) misses.
     let mut fresh = 0u32;
     let mut what_ifs = Vec::new();
     for &nodes in &[1e8, 1e9] {
-        let ((), cell_s) = time_best(samples, || {
-            fresh += 1;
-            let cold = paper.with_mu(0.2 + f64::from(fresh) * 1e-7);
-            planet_scale_what_if(&cold, &InitialCondition::Delta, nodes, 1.0)
-                .expect("planet-scale cell answers");
-        });
+        let mut cold_s: Vec<f64> = (0..COLD_CELLS)
+            .map(|_| {
+                fresh += 1;
+                let cold = paper.with_mu(0.2 + f64::from(fresh) * 1e-7);
+                let start = Instant::now();
+                planet_scale_what_if(&cold, &InitialCondition::Delta, nodes, 1.0)
+                    .expect("planet-scale cell answers");
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        cold_s.sort_by(f64::total_cmp);
+        let cell_s = cold_s[(COLD_CELLS - 1) / 4];
         let answer = planet_scale_what_if(&paper, &InitialCondition::Delta, nodes, 1.0)
             .expect("planet-scale cell answers");
         let (_, warm_cell_s) = time_best(samples, || {
@@ -141,8 +156,8 @@ fn main() {
         });
         println!(
             "what-if nodes={nodes:.0e}: {:.1} polluted nodes expected \
-             (node fraction {:.3e}), settling time {:.2}, {:.1} µs/cell cold, \
-             {:.2} µs warm",
+             (node fraction {:.3e}), settling time {:.2}, {:.1} µs/cell cold \
+             (25th percentile of {COLD_CELLS}), {:.2} µs warm",
             answer.expected_polluted_nodes,
             answer.polluted_node_fraction,
             answer.settling_time,
@@ -304,7 +319,8 @@ fn main() {
     // flake; the JSON still records the measurement either way.
     assert!(
         sub_ms || quick,
-        "cold 10⁹-node what-if took {:.3} ms (budget: 1 ms)",
+        "cold 10⁹-node what-if took {:.3} ms at the 25th percentile of {COLD_CELLS} \
+         (budget: 1 ms)",
         billion.cell_s * 1e3
     );
 }

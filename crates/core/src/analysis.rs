@@ -67,7 +67,6 @@ impl AbsorptionSplit {
 pub struct ClusterAnalysis {
     chain: ClusterChain,
     alpha: Vec<f64>,
-    initial: InitialCondition,
     sojourn: SojournAnalysis,
     absorbing: AbsorptionEngine,
     /// The sparse pipeline's shared solver bundle (sojourn, absorption
@@ -240,7 +239,6 @@ impl ClusterAnalysis {
         Ok(ClusterAnalysis {
             chain,
             alpha,
-            initial,
             sojourn,
             absorbing,
             solvers,
@@ -260,16 +258,6 @@ impl ClusterAnalysis {
     /// The parameters of the model.
     pub fn params(&self) -> &ModelParams {
         self.chain.space().params()
-    }
-
-    /// The initial condition in force.
-    pub fn initial(&self) -> &InitialCondition {
-        &self.initial
-    }
-
-    /// The materialized initial distribution over `Ω`.
-    pub fn alpha(&self) -> &[f64] {
-        &self.alpha
     }
 
     /// `E(T_S)` — expected number of events spent in safe transient states
@@ -565,8 +553,6 @@ mod tests {
     fn accessors() {
         let a = analysis(0.1, 0.5, 1, InitialCondition::Delta);
         assert_eq!(a.params().mu(), 0.1);
-        assert_eq!(a.initial().label(), "delta");
-        assert_eq!(a.alpha().len(), 288);
         assert_eq!(a.chain().space().len(), 288);
     }
 

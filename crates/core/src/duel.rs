@@ -91,12 +91,6 @@ impl DuelConfig {
         self.sigmas = sigmas;
         self
     }
-
-    /// Sets the DES worker-shard count (min 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
 }
 
 /// The renewal-adjusted Wilson interval of a long-run fraction estimated

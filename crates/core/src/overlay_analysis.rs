@@ -53,7 +53,7 @@ impl OverlayModel {
     ) -> Result<Self, MarkovError> {
         let chain = ClusterChain::build(params);
         let alpha = initial.distribution(chain.space())?;
-        let competing = CompetingChains::new(chain.dtmc(), n)?;
+        let competing = CompetingChains::new(chain.sparse_dtmc(), n)?;
         Ok(OverlayModel {
             chain,
             competing,
@@ -85,21 +85,6 @@ impl OverlayModel {
                 polluted: row[1],
             })
             .collect())
-    }
-
-    /// Theorem-1 cross-check: the marginal probability that a designated
-    /// cluster sits in a given global state after `m` events.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation failures.
-    pub fn theorem1_state_probability(
-        &self,
-        state_index: usize,
-        m: u64,
-    ) -> Result<f64, MarkovError> {
-        self.competing
-            .theorem1_state_probability(&self.alpha, state_index, m)
     }
 }
 
@@ -160,7 +145,10 @@ mod tests {
                 .unwrap();
             series[0][0]
         };
-        let via_t1 = m.theorem1_state_probability(idx, 25).unwrap();
+        let via_t1 = m
+            .competing
+            .theorem1_state_probability(&m.alpha, idx, 25)
+            .unwrap();
         assert!((via_t1 - via_t2).abs() < 1e-10, "{via_t1} vs {via_t2}");
     }
 }

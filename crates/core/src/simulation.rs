@@ -5,8 +5,8 @@
 //! the join/leave events, the Property-1 expiries, the randomized
 //! maintenance draws and the adversary's decisions (through a pluggable
 //! [`Strategy`]) with explicit random draws. Agreement between the two is
-//! the reproduction's main internal validity check (`validate_model`
-//! binary and the integration suite).
+//! the reproduction's main internal validity check (the `validate_model`
+//! scenario and the integration suite).
 
 use pollux_adversary::{ClusterView, JoinDecision, Strategy};
 use pollux_des::replication;

@@ -33,11 +33,6 @@ impl Coverage {
         self.counts.get(key).copied().unwrap_or(0)
     }
 
-    /// Iterates `(key, count)` in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counts.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// Number of distinct keys hit at least once.
     pub fn distinct(&self) -> usize {
         self.counts.len()

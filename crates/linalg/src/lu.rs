@@ -268,29 +268,6 @@ impl Lu {
     }
 }
 
-impl Matrix {
-    /// Solves `A x = b` through a fresh LU decomposition.
-    ///
-    /// Prefer building [`Lu`] once when solving against many right-hand
-    /// sides.
-    ///
-    /// # Errors
-    ///
-    /// See [`Lu::decompose`] and [`Lu::solve`].
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        Lu::decompose(self)?.solve(b)
-    }
-
-    /// Solves `x A = b` through a fresh LU decomposition.
-    ///
-    /// # Errors
-    ///
-    /// See [`Lu::decompose`] and [`Lu::solve_transposed`].
-    pub fn solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        Lu::decompose(self)?.solve_transposed(b)
-    }
-}
-
 /// The unbanded textbook kernels the banded ones must reproduce bit for
 /// bit: every factor entry and solution, up to the sign of an exact zero.
 #[cfg(test)]
@@ -563,7 +540,7 @@ mod tests {
         let a =
             Matrix::from_rows(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]]).unwrap();
         let b = [8.0, -11.0, -3.0];
-        let x = a.solve(&b).unwrap();
+        let x = Lu::decompose(&a).unwrap().solve(&b).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
         assert!((x[2] - -1.0).abs() < 1e-12);
@@ -573,7 +550,7 @@ mod tests {
     fn solve_requires_pivoting() {
         // Zero on the diagonal forces a row swap.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let x = a.solve(&[3.0, 5.0]).unwrap();
+        let x = Lu::decompose(&a).unwrap().solve(&[3.0, 5.0]).unwrap();
         assert_eq!(x, vec![5.0, 3.0]);
     }
 
@@ -599,8 +576,8 @@ mod tests {
     fn solve_transposed_matches_transpose_solve() {
         let a = Matrix::from_rows(&[&[2.0, 1.0, 0.5], &[0.1, 3.0, 0.2], &[0.3, 0.4, 5.0]]).unwrap();
         let b = [1.0, 2.0, 3.0];
-        let x = a.solve_transposed(&b).unwrap();
-        let x_ref = a.transpose().solve(&b).unwrap();
+        let x = Lu::decompose(&a).unwrap().solve_transposed(&b).unwrap();
+        let x_ref = Lu::decompose(&a.transpose()).unwrap().solve(&b).unwrap();
         for (u, v) in x.iter().zip(x_ref.iter()) {
             assert!((u - v).abs() < 1e-12);
         }
@@ -629,9 +606,9 @@ mod tests {
                 a[(i, i)] += n as f64;
             }
             let b: Vec<f64> = (0..n).map(|_| rng.random_range(-10.0..10.0)).collect();
-            let x = a.solve(&b).unwrap();
+            let x = Lu::decompose(&a).unwrap().solve(&b).unwrap();
             assert!(residual(&a, &x, &b) < 1e-9, "n={n}");
-            let xt = a.solve_transposed(&b).unwrap();
+            let xt = Lu::decompose(&a).unwrap().solve_transposed(&b).unwrap();
             let r = a
                 .vec_mul(&xt)
                 .iter()

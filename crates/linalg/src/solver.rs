@@ -160,10 +160,10 @@ enum Repr {
 ///
 /// # fn main() -> Result<(), pollux_linalg::LinalgError> {
 /// // Fair gambler's-ruin transient block on {1, 2, 3}:
-/// let q = CsrMatrix::from_triplets(
+/// let q = CsrMatrix::from_triplet_vec(
 ///     3,
 ///     3,
-///     &[(0, 1, 0.5), (1, 0, 0.5), (1, 2, 0.5), (2, 1, 0.5)],
+///     vec![(0, 1, 0.5), (1, 0, 0.5), (1, 2, 0.5), (2, 1, 0.5)],
 /// )?;
 /// let solver = TransientSolver::new(&q, SolverOptions::default())?;
 /// let steps = solver.solve(&[1.0, 1.0, 1.0])?; // N·1: expected absorption times
@@ -801,7 +801,7 @@ mod tests {
 
     #[test]
     fn nan_blocks_are_rejected_on_both_paths() {
-        let q = CsrMatrix::from_triplets(2, 2, &[(0, 1, f64::NAN), (1, 0, 0.5)]).unwrap();
+        let q = CsrMatrix::from_triplet_vec(2, 2, vec![(0, 1, f64::NAN), (1, 0, 0.5)]).unwrap();
         for options in [SolverOptions::default(), SolverOptions::force_sparse()] {
             assert!(TransientSolver::new(&q, options).is_err());
         }
@@ -1009,13 +1009,13 @@ mod tests {
     #[test]
     fn rejects_bad_blocks() {
         // Not square.
-        let q = CsrMatrix::from_triplets(2, 3, &[(0, 0, 0.5)]).unwrap();
+        let q = CsrMatrix::from_triplet_vec(2, 3, vec![(0, 0, 0.5)]).unwrap();
         assert!(TransientSolver::new(&q, SolverOptions::default()).is_err());
         // Negative entry.
-        let q = CsrMatrix::from_triplets(2, 2, &[(0, 1, -0.5)]).unwrap();
+        let q = CsrMatrix::from_triplet_vec(2, 2, vec![(0, 1, -0.5)]).unwrap();
         assert!(TransientSolver::new(&q, SolverOptions::default()).is_err());
         // Super-stochastic row.
-        let q = CsrMatrix::from_triplets(2, 2, &[(0, 0, 0.7), (0, 1, 0.5)]).unwrap();
+        let q = CsrMatrix::from_triplet_vec(2, 2, vec![(0, 0, 0.7), (0, 1, 0.5)]).unwrap();
         assert!(TransientSolver::new(&q, SolverOptions::default()).is_err());
         // Wrong-length right-hand side.
         let q = ruin_block(4, 0.5);
@@ -1026,14 +1026,14 @@ mod tests {
     #[test]
     fn closed_class_is_singular_on_the_iterative_path() {
         // Row 0 is a self-loop with probability 1: 1 − Q_00 = 0.
-        let q = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 0.5)]).unwrap();
+        let q = CsrMatrix::from_triplet_vec(2, 2, vec![(0, 0, 1.0), (1, 0, 0.5)]).unwrap();
         let r = TransientSolver::new(&q, SolverOptions::force_sparse());
         assert!(matches!(r, Err(LinalgError::Singular { pivot: 0 })));
     }
 
     #[test]
     fn empty_block() {
-        let q = CsrMatrix::from_triplets(0, 0, &[]).unwrap();
+        let q = CsrMatrix::from_triplet_vec(0, 0, vec![]).unwrap();
         let solver = TransientSolver::new(&q, SolverOptions::default()).unwrap();
         assert_eq!(solver.n(), 0);
         assert_eq!(solver.solve(&[]).unwrap(), Vec::<f64>::new());

@@ -16,7 +16,7 @@ use crate::{LinalgError, Matrix};
 /// use pollux_linalg::sparse::CsrMatrix;
 ///
 /// # fn main() -> Result<(), pollux_linalg::LinalgError> {
-/// let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 3.0)])?;
+/// let m = CsrMatrix::from_triplet_vec(2, 2, vec![(0, 1, 2.0), (1, 0, 3.0)])?;
 /// assert_eq!(m.vec_mul(&[1.0, 1.0]), vec![3.0, 2.0]);
 /// # Ok(())
 /// # }
@@ -32,27 +32,13 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from `(row, col, value)` triplets.
+    /// Builds a CSR matrix from `(row, col, value)` triplets, sorting the
+    /// buffer in place, so building from a large transition enumeration
+    /// allocates nothing beyond the CSR arrays themselves.
     ///
     /// Duplicate coordinates are summed (in their order of appearance, so
     /// the result is bit-identical to a scatter-accumulate into a dense
     /// row); explicit zeros are dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::IndexOutOfBounds`] when a triplet lies outside
-    /// the declared shape.
-    pub fn from_triplets(
-        rows: usize,
-        cols: usize,
-        triplets: &[(usize, usize, f64)],
-    ) -> Result<Self, LinalgError> {
-        Self::from_triplet_vec(rows, cols, triplets.to_vec())
-    }
-
-    /// Consuming variant of [`CsrMatrix::from_triplets`]: sorts the triplet
-    /// buffer in place, so building from a large transition enumeration
-    /// allocates nothing beyond the CSR arrays themselves.
     ///
     /// # Errors
     ///
@@ -181,18 +167,6 @@ impl CsrMatrix {
     pub fn row_values_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row {i} out of bounds ({} rows)", self.rows);
         &mut self.values[self.row_ptr[i]..self.row_ptr[i + 1]]
-    }
-
-    /// Sum of each row's stored entries (in column order).
-    #[must_use]
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.rows)
-            .map(|i| {
-                self.values[self.row_ptr[i]..self.row_ptr[i + 1]]
-                    .iter()
-                    .sum()
-            })
-            .collect()
     }
 
     /// The transpose as a new CSR matrix (a CSC view of `self`), built in
@@ -377,10 +351,10 @@ mod tests {
     use super::*;
 
     fn sample() -> CsrMatrix {
-        CsrMatrix::from_triplets(
+        CsrMatrix::from_triplet_vec(
             3,
             3,
-            &[
+            vec![
                 (0, 0, 1.0),
                 (0, 2, 2.0),
                 (1, 1, 3.0),
@@ -401,15 +375,16 @@ mod tests {
 
     #[test]
     fn duplicates_sum_and_zeros_drop() {
-        let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 0, 2.0), (1, 1, 0.0)]).unwrap();
+        let m =
+            CsrMatrix::from_triplet_vec(2, 2, vec![(0, 0, 1.0), (0, 0, 2.0), (1, 1, 0.0)]).unwrap();
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.to_dense()[(0, 0)], 3.0);
     }
 
     #[test]
     fn out_of_bounds_rejected() {
-        assert!(CsrMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]).is_err());
-        assert!(CsrMatrix::from_triplets(2, 2, &[(0, 5, 1.0)]).is_err());
+        assert!(CsrMatrix::from_triplet_vec(2, 2, vec![(2, 0, 1.0)]).is_err());
+        assert!(CsrMatrix::from_triplet_vec(2, 2, vec![(0, 5, 1.0)]).is_err());
     }
 
     #[test]
@@ -451,21 +426,21 @@ mod tests {
 
     #[test]
     fn affine_requires_square() {
-        let m = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
+        let m = CsrMatrix::from_triplet_vec(2, 3, vec![(0, 0, 1.0)]).unwrap();
         assert!(m.affine(1.0, 1.0).is_err());
     }
 
     #[test]
     fn empty_rows_and_trailing_rows() {
         // Rows 0, 2 and 4 empty; row 4 is trailing.
-        let m = CsrMatrix::from_triplets(5, 3, &[(1, 2, 1.0), (3, 0, 2.0)]).unwrap();
+        let m = CsrMatrix::from_triplet_vec(5, 3, vec![(1, 2, 1.0), (3, 0, 2.0)]).unwrap();
         assert_eq!(m.nnz(), 2);
         assert_eq!(m.row_entries(0).count(), 0);
         assert_eq!(m.row_entries(2).count(), 0);
         assert_eq!(m.row_entries(4).count(), 0);
         assert_eq!(m.mul_vec(&[1.0, 1.0, 1.0]), vec![0.0, 1.0, 0.0, 2.0, 0.0]);
         // A fully empty matrix still has a consistent shape.
-        let z = CsrMatrix::from_triplets(3, 3, &[]).unwrap();
+        let z = CsrMatrix::from_triplet_vec(3, 3, vec![]).unwrap();
         assert_eq!(z.nnz(), 0);
         assert_eq!(z.mul_vec(&[1.0; 3]), vec![0.0; 3]);
     }
@@ -476,7 +451,7 @@ mod tests {
         // dense scatter-accumulate would (bit-identical, not just close).
         let vals = [0.1, 0.7, 1e-17, 0.2];
         let triplets: Vec<_> = vals.iter().map(|&v| (0usize, 0usize, v)).collect();
-        let m = CsrMatrix::from_triplets(1, 1, &triplets).unwrap();
+        let m = CsrMatrix::from_triplet_vec(1, 1, triplets.to_vec()).unwrap();
         let dense = vals.iter().fold(0.0, |acc, &v| acc + v);
         assert_eq!(m.get(0, 0), dense);
     }
@@ -486,14 +461,20 @@ mod tests {
         let m = sample();
         assert_eq!(m.get(0, 2), 2.0);
         assert_eq!(m.get(0, 1), 0.0);
-        assert_eq!(m.row_sums(), vec![3.0, 3.0, 9.0]);
+        let row_sums: Vec<f64> = (0..3)
+            .map(|i| m.row_entries(i).map(|(_, v)| v).sum())
+            .collect();
+        assert_eq!(row_sums, vec![3.0, 3.0, 9.0]);
     }
 
     #[test]
     fn transpose_matches_dense_transpose() {
-        let m =
-            CsrMatrix::from_triplets(2, 4, &[(0, 3, 1.0), (0, 0, 2.0), (1, 1, 3.0), (1, 3, 4.0)])
-                .unwrap();
+        let m = CsrMatrix::from_triplet_vec(
+            2,
+            4,
+            vec![(0, 3, 1.0), (0, 0, 2.0), (1, 1, 3.0), (1, 3, 4.0)],
+        )
+        .unwrap();
         let t = m.transpose();
         assert_eq!(t.rows(), 4);
         assert_eq!(t.cols(), 2);
@@ -522,7 +503,8 @@ mod tests {
 
     #[test]
     fn row_entries_sorted_by_column() {
-        let m = CsrMatrix::from_triplets(1, 4, &[(0, 3, 1.0), (0, 1, 2.0), (0, 2, 3.0)]).unwrap();
+        let m =
+            CsrMatrix::from_triplet_vec(1, 4, vec![(0, 3, 1.0), (0, 1, 2.0), (0, 2, 3.0)]).unwrap();
         let cols: Vec<usize> = m.row_entries(0).map(|(j, _)| j).collect();
         assert_eq!(cols, vec![1, 2, 3]);
     }

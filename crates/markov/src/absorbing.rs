@@ -1,8 +1,7 @@
-use pollux_linalg::{Matrix, SolverOptions, TransientSolver};
+use pollux_linalg::{Matrix, TransientSolver};
 
-use crate::classify::{classify, classify_sparse, Classification};
-use crate::sparse_chain::sparse_block;
-use crate::{Dtmc, MarkovError, SparseDtmc};
+use crate::classify::{classify, Classification};
+use crate::{Dtmc, MarkovError};
 
 /// Absorbing-chain analysis: expected steps to absorption and absorption
 /// probabilities per closed class, both solved on the fundamental system
@@ -77,76 +76,13 @@ impl AbsorbingChain {
                 .collect();
             rhs.push(r);
         }
-        Self::finish(n, classification, transient, solver, rhs)
-    }
 
-    /// Builds the analysis for a sparse chain: classification runs on the
-    /// CSR adjacency in O(nnz), the fundamental systems go through the
-    /// crossover-aware [`TransientSolver`] (dense LU below
-    /// `options.crossover` states, batched SOR sweeps above), and the
-    /// per-class entry vectors are accumulated in a single pass over the
-    /// transient rows instead of one dense column scan per class.
-    ///
-    /// Per-class absorption still costs one solve per closed class; chains
-    /// with many absorbing states (like the large-Δ cluster chains, where
-    /// every split state is its own class) should aggregate classes before
-    /// asking, as `pollux`'s scaling analysis does.
-    ///
-    /// # Errors
-    ///
-    /// As [`AbsorbingChain::new`], plus [`MarkovError::Linalg`] carrying
-    /// [`pollux_linalg::LinalgError::NoConvergence`] if an iterative solve
-    /// exhausts its sweep budget.
-    pub fn new_sparse(chain: &SparseDtmc, options: SolverOptions) -> Result<Self, MarkovError> {
-        let classification = classify_sparse(chain);
-        let transient = classification.transient_states();
-        if transient.is_empty() {
-            return Err(MarkovError::NoTransientStates);
-        }
-        let n = chain.n_states();
-        let q = sparse_block(chain.matrix(), &transient, &transient);
-        let solver = TransientSolver::new(&q, options)?;
-
-        let closed_classes = classification.closed_classes();
-        // class_slot[j] = position of j's closed class in `closed_classes`
-        // (or MAX for transient / open-class states).
-        let mut class_slot = vec![usize::MAX; n];
-        for (slot, &c) in closed_classes.iter().enumerate() {
-            for &j in &classification.classes[c] {
-                class_slot[j] = slot;
-            }
-        }
-        let mut rhs = vec![vec![0.0; transient.len()]; closed_classes.len()];
-        for (t, &g) in transient.iter().enumerate() {
-            for (j, v) in chain.successors(g) {
-                let slot = class_slot[j];
-                if slot != usize::MAX {
-                    rhs[slot][t] += v;
-                }
-            }
-        }
-        Self::finish(n, classification, transient, solver, rhs)
-    }
-
-    /// Shared tail of both constructors: solve for the expected steps and
-    /// the per-class absorption probabilities (batched) on the transient
-    /// block's solver — dense LU when built from a [`Dtmc`],
-    /// crossover-aware when built from a [`SparseDtmc`] — which is then
-    /// dropped.
-    fn finish(
-        n: usize,
-        classification: Classification,
-        transient: Vec<usize>,
-        solver: TransientSolver,
-        rhs: Vec<Vec<f64>>,
-    ) -> Result<Self, MarkovError> {
         let mut transient_pos = vec![None; n];
         for (t, &g) in transient.iter().enumerate() {
             transient_pos[g] = Some(t);
         }
         let steps = solver.solve(&vec![1.0; transient.len()])?;
         let absorption = solver.solve_many(&rhs)?;
-        let closed_classes = classification.closed_classes();
         Ok(AbsorbingChain {
             n_states: n,
             classification,
@@ -158,19 +94,9 @@ impl AbsorbingChain {
         })
     }
 
-    /// Number of states of the underlying chain.
-    pub fn n_states(&self) -> usize {
-        self.n_states
-    }
-
     /// The structural classification computed for the chain.
     pub fn classification(&self) -> &Classification {
         &self.classification
-    }
-
-    /// Global indices of the transient states, in increasing order.
-    pub fn transient_states(&self) -> &[usize] {
-        &self.transient
     }
 
     /// Ids of the closed (absorbing) classes, aligned with the rows of
@@ -382,29 +308,6 @@ mod tests {
             AbsorbingChain::new(&irr),
             Err(MarkovError::NoTransientStates)
         ));
-    }
-
-    #[test]
-    fn sparse_constructor_agrees_with_dense() {
-        let n = 10;
-        let chain = gamblers_ruin(0.55, n);
-        let sparse = SparseDtmc::from_dense(&chain);
-        let dense_abs = AbsorbingChain::new(&chain).unwrap();
-        for options in [SolverOptions::force_dense(), SolverOptions::force_sparse()] {
-            let sparse_abs = AbsorbingChain::new_sparse(&sparse, options).unwrap();
-            assert_eq!(sparse_abs.closed_classes(), dense_abs.closed_classes());
-            assert_eq!(sparse_abs.transient_states(), dense_abs.transient_states());
-            for i in 0..=n {
-                let a = dense_abs.expected_steps_from(i).unwrap();
-                let b = sparse_abs.expected_steps_from(i).unwrap();
-                assert!((a - b).abs() < 1e-9, "steps i={i}: {a} vs {b}");
-                let pa = dense_abs.absorption_probabilities_from(i).unwrap();
-                let pb = sparse_abs.absorption_probabilities_from(i).unwrap();
-                for (x, y) in pa.iter().zip(pb.iter()) {
-                    assert!((x - y).abs() < 1e-9, "absorption i={i}: {x} vs {y}");
-                }
-            }
-        }
     }
 
     #[test]

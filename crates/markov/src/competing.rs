@@ -2,8 +2,10 @@ use pollux_linalg::sparse::CsrMatrix;
 use pollux_linalg::vec_ops;
 use pollux_prob::Binomial;
 
-use crate::classify::classify;
-use crate::{Dtmc, MarkovError};
+use crate::chain::validate_distribution;
+use crate::classify::classify_sparse;
+use crate::sparse_chain::sparse_block;
+use crate::{MarkovError, SparseDtmc};
 
 /// Each side of a sample point's binomial window leaves out at most
 /// `e^{-TAIL_LN}` ≈ 4.2e-18 of the `Bin(m, 1/n)` mass, so a truncated
@@ -35,14 +37,13 @@ const TAIL_LN: f64 = 40.0;
 /// # Example
 ///
 /// ```
-/// use pollux_markov::{CompetingChains, Dtmc};
+/// use pollux_markov::{CompetingChains, SparseDtmc};
 ///
 /// # fn main() -> Result<(), pollux_markov::MarkovError> {
-/// let chain = Dtmc::from_rows(&[
-///     &[1.0, 0.0, 0.0],
-///     &[0.25, 0.5, 0.25],
-///     &[0.0, 0.0, 1.0],
-/// ])?;
+/// let chain = SparseDtmc::from_triplets(
+///     3,
+///     vec![(0, 0, 1.0), (1, 0, 0.25), (1, 1, 0.5), (1, 2, 0.25), (2, 2, 1.0)],
+/// )?;
 /// let comp = CompetingChains::new(&chain, 10)?;
 /// let alpha = vec![0.0, 1.0, 0.0];
 /// // Proportion of chains still in the transient state 1 after 20 events.
@@ -53,7 +54,7 @@ const TAIL_LN: f64 = 40.0;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompetingChains {
-    chain: Dtmc,
+    chain: SparseDtmc,
     n: u64,
     /// Global indices of transient states, increasing.
     transient: Vec<usize>,
@@ -64,39 +65,30 @@ pub struct CompetingChains {
 }
 
 impl CompetingChains {
-    /// Builds the model for `n` copies of `chain`.
+    /// Builds the model for `n` copies of `chain`. Classification and
+    /// the cut of `T` read only the stored transitions, so the cost is
+    /// O(nnz), never O(n²).
     ///
     /// # Errors
     ///
     /// * [`MarkovError::InvalidPartition`] when `n == 0`.
     /// * [`MarkovError::NoTransientStates`] when the chain has no transient
     ///   states.
-    pub fn new(chain: &Dtmc, n: u64) -> Result<Self, MarkovError> {
+    pub fn new(chain: &SparseDtmc, n: u64) -> Result<Self, MarkovError> {
         if n == 0 {
             return Err(MarkovError::InvalidPartition(
                 "need at least one competing chain".into(),
             ));
         }
-        let classification = classify(chain);
-        let transient = classification.transient_states();
+        let transient = classify_sparse(chain).transient_states();
         if transient.is_empty() {
             return Err(MarkovError::NoTransientStates);
         }
-        let nt = chain.n_states();
-        let mut transient_pos = vec![None; nt];
+        let mut transient_pos = vec![None; chain.n_states()];
         for (t, &g) in transient.iter().enumerate() {
             transient_pos[g] = Some(t);
         }
-        let mut triplets = Vec::new();
-        for (ti, &gi) in transient.iter().enumerate() {
-            for (tj, &gj) in transient.iter().enumerate() {
-                let p = chain.prob(gi, gj);
-                if p > 0.0 {
-                    triplets.push((ti, tj, p));
-                }
-            }
-        }
-        let t_block = CsrMatrix::from_triplets(transient.len(), transient.len(), &triplets)?;
+        let t_block = sparse_block(chain.matrix(), &transient, &transient);
         Ok(CompetingChains {
             chain: chain.clone(),
             n,
@@ -104,11 +96,6 @@ impl CompetingChains {
             transient_pos,
             t_block,
         })
-    }
-
-    /// Global indices of the transient states the model tracks.
-    pub fn transient_states(&self) -> &[usize] {
-        &self.transient
     }
 
     /// Restriction of a full-chain distribution to the transient block.
@@ -242,7 +229,7 @@ impl CompetingChains {
                 states: self.chain.n_states(),
             });
         }
-        self.chain.check_distribution(alpha)?;
+        validate_distribution(alpha, self.chain.n_states())?;
         let binom =
             Binomial::new(m, 1.0 / self.n as f64).expect("1/n is a valid probability for n >= 1");
         let mut dist = alpha.to_vec();
@@ -319,14 +306,28 @@ impl BinomialWindow {
 mod tests {
     use super::*;
 
-    fn ruin_chain() -> Dtmc {
-        Dtmc::from_rows(&[
+    /// A chain over `rows.len()` states with the given dense rows.
+    fn sparse_rows(rows: &[&[f64]]) -> SparseDtmc {
+        let triplets = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(i, row)| {
+                row.iter()
+                    .enumerate()
+                    .filter(|&(_, &p)| p > 0.0)
+                    .map(move |(j, &p)| (i, j, p))
+            })
+            .collect();
+        SparseDtmc::from_triplets(rows.len(), triplets).unwrap()
+    }
+
+    fn ruin_chain() -> SparseDtmc {
+        sparse_rows(&[
             &[1.0, 0.0, 0.0, 0.0],
             &[0.5, 0.0, 0.5, 0.0],
             &[0.0, 0.5, 0.0, 0.5],
             &[0.0, 0.0, 0.0, 1.0],
         ])
-        .unwrap()
     }
 
     #[test]
@@ -410,7 +411,7 @@ mod tests {
         // Bad alpha length.
         assert!(comp.proportion_series(&[1.0], &[&[1]], &[1]).is_err());
         // Irreducible chain has no transient states.
-        let irr = Dtmc::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]).unwrap();
+        let irr = sparse_rows(&[&[0.5, 0.5], &[0.5, 0.5]]);
         assert!(CompetingChains::new(&irr, 5).is_err());
     }
 
@@ -447,7 +448,7 @@ mod tests {
     /// A random absorbing chain of `t` transient states followed by `a`
     /// absorbing ones, each transient row leaking only `leak` of its mass
     /// towards absorption so proportions stay visible at large `m`.
-    fn slow_chain(t: usize, a: usize, leak: f64, weights: &[f64]) -> Dtmc {
+    fn slow_chain(t: usize, a: usize, leak: f64, weights: &[f64]) -> SparseDtmc {
         let n = t + a;
         let mut rows = Vec::with_capacity(n);
         for i in 0..t {
@@ -464,7 +465,7 @@ mod tests {
             rows.push(row);
         }
         let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        Dtmc::from_rows(&refs).unwrap()
+        sparse_rows(&refs)
     }
 
     proptest::proptest! {

@@ -208,11 +208,11 @@ mod tests {
         assert!(
             SparseDtmc::from_triplets(2, vec![(0, 0, 1.5), (0, 1, -0.5), (1, 1, 1.0)]).is_err()
         );
-        let rect = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
+        let rect = CsrMatrix::from_triplet_vec(2, 3, vec![(0, 0, 1.0)]).unwrap();
         assert!(SparseDtmc::new(rect).is_err());
         // A NaN entry is rejected, through either constructor.
         assert!(SparseDtmc::from_triplets(2, vec![(0, 1, f64::NAN), (1, 0, 1.0)]).is_err());
-        let nan = CsrMatrix::from_triplets(2, 2, &[(0, 0, f64::NAN), (1, 1, 1.0)]).unwrap();
+        let nan = CsrMatrix::from_triplet_vec(2, 2, vec![(0, 0, f64::NAN), (1, 1, 1.0)]).unwrap();
         assert!(SparseDtmc::new(nan).is_err());
     }
 

@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 
 use pollux_markov::classify::classify;
-use pollux_markov::{AbsorbingChain, CompetingChains, Dtmc, SojournAnalysis, SojournPartition};
+use pollux_markov::{
+    AbsorbingChain, CompetingChains, Dtmc, SojournAnalysis, SojournPartition, SparseDtmc,
+};
 
 /// A random absorbing chain: `t` transient states followed by `a`
 /// absorbing ones. Each transient row mixes random mass over everything
@@ -113,7 +115,7 @@ proptest! {
     fn competing_chains_preserve_scaled_mass((chain, t) in absorbing_chain_strategy(), n in 1u64..50) {
         // After one overlay event the transient mass shrinks by at most
         // the per-event absorption rate / n.
-        let comp = CompetingChains::new(&chain, n).unwrap();
+        let comp = CompetingChains::new(&SparseDtmc::from_dense(&chain), n).unwrap();
         let mut alpha = vec![0.0; chain.n_states()];
         alpha[0] = 1.0;
         let subset: Vec<usize> = (0..t).collect();

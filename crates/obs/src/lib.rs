@@ -55,7 +55,7 @@
 //!
 //! // Identical results with the no-op and the real recorder…
 //! assert_eq!(hot_loop(&mut NullRecorder), 4950);
-//! let mut rec = MetricsRecorder::new();
+//! let mut rec = MetricsRecorder::default();
 //! assert_eq!(hot_loop(&mut rec), 4950);
 //! // …and the real one populates its counters.
 //! assert_eq!(rec.registry().counter("loop.iterations"), Some(100));

@@ -58,17 +58,8 @@ pub struct MetricsRecorder {
 }
 
 impl MetricsRecorder {
-    /// A recorder with an empty registry and no tracer.
-    #[must_use]
-    pub fn new() -> Self {
-        MetricsRecorder {
-            registry: Registry::new(),
-            trace: None,
-        }
-    }
-
-    /// A recorder that additionally keeps the last `capacity` DES events
-    /// in a ring buffer (capacity 0 means no tracer).
+    /// A recorder with an empty registry that keeps the last `capacity`
+    /// DES events in a ring buffer (capacity 0 means no tracer).
     #[must_use]
     pub fn with_trace(capacity: usize) -> Self {
         MetricsRecorder {

@@ -1,5 +1,3 @@
-use rand::RngExt;
-
 use crate::comb::{binomial, ln_binomial};
 use crate::ProbError;
 
@@ -61,12 +59,6 @@ impl Binomial {
             .exp()
         }
     }
-
-    /// Samples by `n` Bernoulli trials (exact; `n` is small throughout the
-    /// model).
-    pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        (0..self.n).filter(|_| rng.random_bool(self.p)).count() as u64
-    }
 }
 
 /// The Wilson score interval for a binomial proportion: the `(lo, hi)`
@@ -123,7 +115,6 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn pmf_sums_to_one() {
@@ -176,17 +167,6 @@ mod tests {
         let b = Binomial::new(500, 0.3).unwrap();
         let total: f64 = (0..=500).map(|x| b.pmf(x)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sampling_matches_mean() {
-        let b = Binomial::new(20, 0.25).unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
-        let n = 20_000;
-        let sum: u64 = (0..n).map(|_| b.sample(&mut rng)).sum();
-        let emp = sum as f64 / n as f64;
-        // n p = 5.
-        assert!((emp - 5.0).abs() < 0.1, "empirical {emp}");
     }
 
     #[test]

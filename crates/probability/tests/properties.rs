@@ -73,14 +73,4 @@ proptest! {
             prop_assert!(u >= lo && u <= hi);
         }
     }
-
-    #[test]
-    fn binomial_samples_bounded(n in 0u64..30, p in 0.0f64..=1.0, seed in any::<u64>()) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let b = Binomial::new(n, p).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..50 {
-            prop_assert!(b.sample(&mut rng) <= n);
-        }
-    }
 }

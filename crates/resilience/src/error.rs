@@ -1,5 +1,6 @@
-//! The failure taxonomy: what went wrong in one unit of work, and
-//! whether re-running it could possibly help.
+//! The failure taxonomy: the two ways one unit of work fails that the
+//! resilience layer itself handles. Every other evaluation error is the
+//! caller's own error type and surfaces after one attempt.
 
 use std::error::Error;
 use std::fmt;
@@ -8,54 +9,27 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FailureKind {
-    /// The unit panicked; carries the panic message. Transient: a panic
-    /// may be injected (fault harness) or environmental, and the retry
-    /// contract guarantees a successful re-run is byte-identical.
+    /// The unit panicked; carries the panic message. The only failure a
+    /// retry can change: a panic may be injected (fault harness) or
+    /// environmental, and the retry contract guarantees a successful
+    /// re-run is byte-identical.
     Panic(String),
-    /// An iterative solver exhausted its budget
-    /// (`LinalgError::NoConvergence` or an error wrapping it).
-    /// Transient by the ISSUE's contract: the retry ladder may re-run
-    /// under degraded settings that converge.
-    NoConvergence(String),
     /// The memory-budget pre-flight rejected the unit: its predicted
     /// footprint exceeds the configured budget even after shedding
-    /// every sheddable shard.
+    /// every sheddable shard. The footprint is a function of the unit
+    /// and the budget, so a retry would be refused the same way.
     MemoryBudget {
         /// Predicted footprint in bytes.
         needed_bytes: u64,
         /// The configured budget in bytes.
         budget_bytes: u64,
     },
-    /// A non-transient evaluation error (invalid grid, singular system,
-    /// IO failure, …). Retrying a deterministic evaluation of the same
-    /// `(config, seed)` would fail identically, so the failure surfaces
-    /// immediately.
-    Fatal(String),
-}
-
-impl FailureKind {
-    /// `true` when the bounded-retry ladder should re-run the unit.
-    ///
-    /// Panics, solver non-convergence and memory-budget rejections are
-    /// transient (the ladder may change *how* the unit runs — e.g. shed
-    /// shards — but never its seed, so output bytes are invariant);
-    /// everything else is fatal.
-    #[must_use]
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            FailureKind::Panic(_)
-                | FailureKind::NoConvergence(_)
-                | FailureKind::MemoryBudget { .. }
-        )
-    }
 }
 
 impl fmt::Display for FailureKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FailureKind::Panic(msg) => write!(f, "panic: {msg}"),
-            FailureKind::NoConvergence(msg) => write!(f, "solver gave up: {msg}"),
             FailureKind::MemoryBudget {
                 needed_bytes,
                 budget_bytes,
@@ -63,7 +37,6 @@ impl fmt::Display for FailureKind {
                 f,
                 "memory budget exceeded: needs {needed_bytes} B, budget {budget_bytes} B"
             ),
-            FailureKind::Fatal(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -102,18 +75,6 @@ impl Error for CellFailure {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transience_follows_the_taxonomy() {
-        assert!(FailureKind::Panic("boom".into()).is_transient());
-        assert!(FailureKind::NoConvergence("200k sweeps".into()).is_transient());
-        assert!(FailureKind::MemoryBudget {
-            needed_bytes: 2,
-            budget_bytes: 1
-        }
-        .is_transient());
-        assert!(!FailureKind::Fatal("singular".into()).is_transient());
-    }
 
     #[test]
     fn display_names_the_originating_cell() {

@@ -5,7 +5,7 @@
 //! attempt, and after how many journaled completions the process should
 //! simulate a kill. Plans flow through explicit configuration (the
 //! sweep runner takes one by value — no process globals, so parallel
-//! tests cannot interfere); the harness binaries additionally accept the
+//! tests cannot interfere); `reproduce_all` additionally accepts the
 //! textual form via the `POLLUX_FAULT` environment variable so CI can
 //! inject faults without a dedicated CLI surface:
 //!

@@ -180,17 +180,32 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'n') => out.push('\n'),
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
+                        let start = *pos - 1;
+                        let unit = hex4(bytes, *pos + 1)?;
                         *pos += 4;
+                        let code = match unit {
+                            // A character outside the BMP is escaped as a
+                            // UTF-16 pair: a high surrogate, then a low one.
+                            0xD800..=0xDBFF => {
+                                let low = match bytes.get(*pos + 1..*pos + 3) {
+                                    Some(b"\\u") => hex4(bytes, *pos + 3)?,
+                                    _ => 0,
+                                };
+                                if !(0xDC00..=0xDFFF).contains(&low) {
+                                    return Err(format!("lone surrogate at byte {start}"));
+                                }
+                                *pos += 6;
+                                0x1_0000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                            }
+                            0xDC00..=0xDFFF => {
+                                return Err(format!("lone surrogate at byte {start}"))
+                            }
+                            scalar => scalar,
+                        };
+                        out.push(char::from_u32(code).expect("surrogates are handled above"));
                     }
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
@@ -210,6 +225,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The four hex digits of a `\u` escape starting at `at`, as one UTF-16
+/// code unit (`u32::from_str_radix` would also take a sign).
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let digits = bytes
+        .get(at..at + 4)
+        .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+        .ok_or_else(|| format!("\\u escape at byte {} needs four hex digits", at - 2))?;
+    Ok(digits.iter().fold(0, |unit, &d| {
+        unit * 16 + char::from(d).to_digit(16).unwrap_or(0)
+    }))
 }
 
 fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -344,6 +371,52 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("+5").is_err());
+    }
+
+    #[test]
+    fn accepts_backspace_and_form_feed() {
+        assert_eq!(
+            Json::parse(r#""a\bb\fc""#),
+            Ok(Json::Str("a\u{8}b\u{c}c".into()))
+        );
+    }
+
+    #[test]
+    fn joins_a_surrogate_pair_into_one_character() {
+        assert_eq!(Json::parse(r#""\ud83d\ude00""#), Ok(Json::Str("😀".into())));
+        assert_eq!(
+            Json::parse(r#""\uD834\uDD1E!""#),
+            Ok(Json::Str("𝄞!".into()))
+        );
+    }
+
+    #[test]
+    fn rejects_a_lone_surrogate() {
+        for doc in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            let err = Json::parse(doc).unwrap_err();
+            assert!(err.contains("lone surrogate"), "{doc}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_u_escape_without_four_hex_digits() {
+        for doc in [
+            r#""\u+04a""#,
+            r#""\u-04a""#,
+            r#""\u04""#,
+            r#""\u00g1""#,
+            r#""\u"#,
+        ] {
+            let err = Json::parse(doc).unwrap_err();
+            assert!(err.contains("four hex digits"), "{doc}: {err}");
+        }
+        assert_eq!(Json::parse(r#""\u004A""#), Ok(Json::Str("J".into())));
     }
 
     #[test]

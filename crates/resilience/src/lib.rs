@@ -5,16 +5,15 @@
 //! adversarial perturbation; this crate is the analogue for our own
 //! evaluation machinery. Long-running sweeps (multi-hour campaign
 //! matrices, planet-scale DES ladders) must survive the faults that
-//! real runs actually hit — a panicking cell, a solver that refuses to
-//! converge, a run that outgrows memory, a process killed halfway
-//! through — without losing completed work or perturbing a single
-//! output byte. Four pillars:
+//! real runs actually hit — a panicking cell, a run that outgrows
+//! memory, a process killed halfway through — without losing completed
+//! work or perturbing a single output byte. Four pillars:
 //!
 //! * **Panic isolation** ([`panic_guard`]) — a unit of work runs under
 //!   `catch_unwind`; a panic becomes a structured [`FailureKind::Panic`]
 //!   instead of poisoning shared state and cascading.
-//! * **Deterministic bounded retry** ([`retry`]) — transient failures
-//!   re-run the unit from its original seed. Evaluation is a pure
+//! * **Deterministic bounded retry** ([`retry`]) — a panicked unit
+//!   re-runs from its original seed. Evaluation is a pure
 //!   function of `(config, seed)`, so a successful retry is
 //!   *byte-identical* to a first-attempt success; retries can change
 //!   whether output exists, never what it contains.
@@ -34,7 +33,7 @@
 //! to show each one actually fires.
 //!
 //! The crate is std-only and knows nothing about sweeps or solvers; the
-//! `pollux-sweep` runner and the harness binaries wire it through the
+//! `pollux-sweep` runner and `reproduce_all` wire it through the
 //! execution machinery.
 
 mod error;

@@ -11,9 +11,6 @@
 
 use crate::FailureKind;
 
-/// Environment variable consulted by [`MemoryBudget::from_env`].
-pub const BUDGET_ENV: &str = "POLLUX_MEM_BUDGET_BYTES";
-
 /// A byte budget that predicted footprints are admitted against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBudget {
@@ -32,26 +29,6 @@ impl MemoryBudget {
     pub fn bytes(budget_bytes: u64) -> Self {
         MemoryBudget {
             budget_bytes: Some(budget_bytes),
-        }
-    }
-
-    /// Reads `POLLUX_MEM_BUDGET_BYTES`: unset or empty means unlimited,
-    /// otherwise the value must parse as bytes (decimal `u64`).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when the variable is set but not a
-    /// number — a misconfigured budget must not silently become
-    /// "unlimited".
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var(BUDGET_ENV) {
-            Err(_) => Ok(MemoryBudget::unlimited()),
-            Ok(raw) if raw.trim().is_empty() => Ok(MemoryBudget::unlimited()),
-            Ok(raw) => raw
-                .trim()
-                .parse::<u64>()
-                .map(MemoryBudget::bytes)
-                .map_err(|e| format!("{BUDGET_ENV}={raw:?} is not a byte count: {e}")),
         }
     }
 
@@ -156,19 +133,5 @@ mod tests {
                 budget_bytes: 10,
             }
         );
-    }
-
-    #[test]
-    fn env_parsing_is_loud_about_garbage() {
-        // from_env reads the real environment; only exercise the parse
-        // paths that don't require mutating process-global state.
-        assert!(MemoryBudget::from_env().is_ok() || MemoryBudget::from_env().is_err());
-        let err = "12MB"
-            .trim()
-            .parse::<u64>()
-            .map(MemoryBudget::bytes)
-            .map_err(|e| format!("{BUDGET_ENV}=\"12MB\" is not a byte count: {e}"))
-            .unwrap_err();
-        assert!(err.contains(BUDGET_ENV));
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic bounded retry.
 //!
 //! A unit of work in Pollux is a pure function of `(config, seed)`;
-//! the retry ladder therefore re-runs a failed unit *from the same
+//! the retry ladder therefore re-runs a panicked unit *from the same
 //! seed*. The consequence is the central determinism guarantee of the
 //! failure model (test-enforced end to end): a retry can change
 //! **whether** output exists, never **what** it contains — a run that
@@ -9,7 +9,7 @@
 
 use crate::FailureKind;
 
-/// How many times a transiently failing unit is attempted.
+/// How many times a panicking unit is attempted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (≥ 1); `1` means no retry.
@@ -18,8 +18,8 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     /// Two attempts: the original run plus one retry — enough to absorb
-    /// a transient fault without masking a deterministic failure for
-    /// long (a genuinely broken cell fails every attempt identically).
+    /// a one-off panic without masking a deterministic one for long (a
+    /// genuinely broken cell panics on every attempt identically).
     fn default() -> Self {
         RetryPolicy { max_attempts: 2 }
     }
@@ -33,22 +33,17 @@ impl RetryPolicy {
             max_attempts: max_attempts.max(1),
         }
     }
-
-    /// The no-retry policy (one attempt).
-    #[must_use]
-    pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1 }
-    }
 }
 
-/// Runs `attempt(n)` for `n = 1, 2, …` until it succeeds, fails
-/// non-transiently, or the policy's attempt budget is spent. Returns the
-/// result together with the number of attempts made.
+/// Runs `attempt(n)` for `n = 1, 2, …` until it succeeds, fails with
+/// anything but a panic, or the policy's attempt budget is spent.
+/// Returns the result together with the number of attempts made.
 ///
-/// The attempt index is passed through so callers can degrade *how* the
-/// unit runs (fault plans key on it; the sweep runner sheds DES shards
-/// between memory-rejected attempts) — but the unit's seed, and thus its
-/// output bytes, must not depend on it.
+/// Only a [`FailureKind::Panic`] is retried: a memory-budget refusal
+/// depends on the unit and the budget alone, so a second attempt would
+/// be refused the same way. The attempt index is passed through so a
+/// fault plan can key on it, but the unit's seed, and thus its output
+/// bytes, must not depend on it.
 ///
 /// # Errors
 ///
@@ -62,7 +57,7 @@ pub fn run_with_retry<T>(
         n += 1;
         match attempt(n) {
             Ok(value) => return Ok((value, n)),
-            Err(kind) if kind.is_transient() && n < policy.max_attempts => continue,
+            Err(FailureKind::Panic(_)) if n < policy.max_attempts => continue,
             Err(kind) => return Err((kind, n)),
         }
     }
@@ -93,26 +88,31 @@ mod tests {
     #[test]
     fn budget_exhaustion_surfaces_the_last_failure() {
         let r: Result<(u32, u32), _> = run_with_retry(RetryPolicy::new(2), |n| {
-            Err(FailureKind::NoConvergence(format!("attempt {n}")))
+            Err(FailureKind::Panic(format!("attempt {n}")))
         });
-        assert_eq!(r, Err((FailureKind::NoConvergence("attempt 2".into()), 2)));
+        assert_eq!(r, Err((FailureKind::Panic("attempt 2".into()), 2)));
     }
 
     #[test]
     fn fatal_failures_never_retry() {
+        // A memory refusal is the same on every attempt.
+        let refused = FailureKind::MemoryBudget {
+            needed_bytes: 2,
+            budget_bytes: 1,
+        };
         let mut calls = 0;
         let r: Result<(u32, u32), _> = run_with_retry(RetryPolicy::new(10), |_| {
             calls += 1;
-            Err(FailureKind::Fatal("singular".into()))
+            Err(refused.clone())
         });
         assert_eq!(calls, 1);
-        assert_eq!(r, Err((FailureKind::Fatal("singular".into()), 1)));
+        assert_eq!(r, Err((refused, 1)));
     }
 
     #[test]
     fn policy_clamps_to_at_least_one_attempt() {
         assert_eq!(RetryPolicy::new(0).max_attempts, 1);
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
+        assert_eq!(RetryPolicy::new(1).max_attempts, 1);
         assert_eq!(RetryPolicy::default().max_attempts, 2);
     }
 }

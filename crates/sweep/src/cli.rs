@@ -1,4 +1,4 @@
-//! The common command line shared by every harness binary:
+//! The sweep command line of the `reproduce_all` front-end:
 //! `--threads N --seed S --out-dir DIR --format tsv|json|both [names…]`.
 
 use std::path::PathBuf;
@@ -12,7 +12,7 @@ pub struct SweepArgs {
     pub threads: Option<usize>,
     /// Master seed override.
     pub seed: Option<u64>,
-    /// Artefact directory; `None` means print-only.
+    /// Artefact directory; `None` prints each report as a table.
     pub out_dir: Option<PathBuf>,
     /// Artefact format (default TSV).
     pub format: OutputFormat,
@@ -32,14 +32,14 @@ pub struct SweepArgs {
     /// only missing cells are recomputed. Output is byte-identical to an
     /// uninterrupted run.
     pub resume: Option<PathBuf>,
-    /// Extra evaluation attempts after a transient cell failure
+    /// Extra evaluation attempts after a panicking cell
     /// (`--retries N`; default 1). Retries re-run from the cell's
     /// original seed, so they never change output bytes.
     pub retries: Option<u32>,
     /// Memory budget DES cells pre-flight against (`--mem-budget-bytes
-    /// B`; overrides the `POLLUX_MEM_BUDGET_BYTES` environment variable).
+    /// B`; unlimited when absent).
     pub mem_budget_bytes: Option<u64>,
-    /// Positional scenario names (empty = the binary's default set).
+    /// Positional scenario names (empty = every paper artefact).
     pub scenarios: Vec<String>,
 }
 
@@ -66,7 +66,7 @@ impl Default for SweepArgs {
 pub const USAGE: &str = "options:
   --threads N          worker threads (default: all cores)
   --seed S             master seed for Monte-Carlo scenarios
-  --out-dir DIR        write artefacts under DIR (default: print only / results)
+  --out-dir DIR        write artefacts under DIR (default: print tables)
   --format FMT         artefact format: tsv | json | both (default tsv)
   --metrics-dir DIR    write <scenario>.metrics.json sidecars under DIR
   --progress           per-cell progress/ETA on stderr
@@ -75,13 +75,12 @@ pub const USAGE: &str = "options:
   --resume DIR         crash-safe mode: journal completed cells under DIR
                        and resume from an existing journal (output is
                        byte-identical to an uninterrupted run)
-  --retries N          extra attempts after a transient cell failure
+  --retries N          extra attempts after a panicking cell
                        (default 1; same seed, so bytes never change)
   --mem-budget-bytes B refuse/degrade DES cells whose predicted footprint
-                       exceeds B bytes (default: POLLUX_MEM_BUDGET_BYTES,
-                       else unlimited)
+                       exceeds B bytes (default: unlimited)
   --help               this message
-  [NAME…]              scenario names to run (default: the binary's set)";
+  [NAME…]              scenario names to run (default: every paper artefact)";
 
 impl SweepArgs {
     /// Parses `std::env::args().skip(1)`-style arguments.
@@ -143,8 +142,15 @@ impl SweepArgs {
         Ok(out)
     }
 
-    /// Builds the runner these arguments describe.
-    pub fn runner(&self) -> crate::SweepRunner {
+    /// Builds the runner these arguments describe, with the fault plan
+    /// of the `POLLUX_FAULT` environment variable (CI's fault-injection
+    /// hook; see [`pollux_resilience::FaultPlan`]).
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message when `POLLUX_FAULT` is set but
+    /// malformed: a typo'd plan must not silently become "no faults".
+    pub fn runner(&self) -> Result<crate::SweepRunner, String> {
         let mut runner = crate::SweepRunner::new();
         if let Some(threads) = self.threads {
             runner = runner.with_threads(threads);
@@ -161,29 +167,11 @@ impl SweepArgs {
         if let Some(bytes) = self.mem_budget_bytes {
             runner = runner.with_memory_budget(pollux_resilience::MemoryBudget::bytes(bytes));
         }
-        runner.with_progress(self.progress)
-    }
-
-    /// As [`SweepArgs::runner`], additionally applying the resilience
-    /// environment: `POLLUX_MEM_BUDGET_BYTES` (when `--mem-budget-bytes`
-    /// was not given) and the `POLLUX_FAULT` injection plan. The harness
-    /// binaries use this so CI can inject faults without a CLI surface.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when either variable is set but
-    /// malformed — a typo'd budget or fault plan must not silently
-    /// become "no budget" / "no faults".
-    pub fn runner_from_env(&self) -> Result<crate::SweepRunner, String> {
-        let mut runner = self.runner();
-        if self.mem_budget_bytes.is_none() {
-            runner = runner.with_memory_budget(pollux_resilience::MemoryBudget::from_env()?);
-        }
         let plan = pollux_resilience::FaultPlan::from_env()?;
         if !plan.is_empty() {
             runner = runner.with_fault_plan(plan);
         }
-        Ok(runner)
+        Ok(runner.with_progress(self.progress))
     }
 }
 
@@ -246,7 +234,7 @@ mod tests {
 
     #[test]
     fn runner_reflects_flags() {
-        let runner = parse(&["--threads", "3"]).unwrap().runner();
+        let runner = parse(&["--threads", "3"]).unwrap().runner().unwrap();
         assert_eq!(runner.threads(), 3);
     }
 

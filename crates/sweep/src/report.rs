@@ -31,16 +31,20 @@ impl SweepReport {
         self.rows.get(row)?.get(self.column(column)?)?.as_bool()
     }
 
-    /// `true` when every `ok` flag in the report is set (vacuously true
-    /// for reports without an `ok` column) — the validation verdict.
+    /// The run's verdict: `true` when every flag in every verdict column
+    /// is set. The verdict columns are `ok` (validations: analytic vs
+    /// Monte-Carlo, DES or fluid limit) and `verified_ok` (control
+    /// tuning checked against the exact chain); a report with neither
+    /// passes vacuously.
     pub fn all_ok(&self) -> bool {
-        match self.column("ok") {
-            None => true,
-            Some(i) => self
-                .rows
-                .iter()
-                .all(|row| row[i].as_bool().unwrap_or(false)),
-        }
+        ["ok", "verified_ok"]
+            .iter()
+            .filter_map(|name| self.column(name))
+            .all(|i| {
+                self.rows
+                    .iter()
+                    .all(|row| row[i].as_bool().unwrap_or(false))
+            })
     }
 
     /// The tab-separated rendering (header line + one line per row).
@@ -185,6 +189,21 @@ mod tests {
             rows: vec![],
         };
         assert!(no_flag.all_ok());
+    }
+
+    #[test]
+    fn verified_ok_is_a_verdict_column() {
+        let mut frontier = SweepReport {
+            scenario: "frontier".into(),
+            columns: vec!["rate".into(), "verified_ok".into()],
+            rows: vec![
+                vec![Value::F64(0.25), Value::Bool(true)],
+                vec![Value::F64(0.5), Value::Bool(false)],
+            ],
+        };
+        assert!(!frontier.all_ok());
+        frontier.rows[1][1] = Value::Bool(true);
+        assert!(frontier.all_ok());
     }
 
     #[test]

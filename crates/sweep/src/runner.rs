@@ -17,8 +17,6 @@ use std::sync::mpsc;
 use std::sync::{Mutex, PoisonError};
 
 use pollux_des::replication::replication_seed;
-use pollux_linalg::LinalgError;
-use pollux_markov::MarkovError;
 use pollux_obs::Registry;
 use pollux_resilience::{
     catch_panic, fault::SIMULATED_KILL_EXIT_CODE, fnv1a64, run_with_retry, CellFailure,
@@ -118,8 +116,8 @@ impl SweepRunner {
         self
     }
 
-    /// Sets the bounded-retry policy for transient cell failures
-    /// (default: two attempts). Retries re-run from the cell's original
+    /// Sets the bounded-retry policy for panicking cells (default: two
+    /// attempts). Retries re-run from the cell's original
     /// seed, so they can change whether output exists, never its bytes.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
@@ -494,8 +492,14 @@ impl SweepRunner {
 }
 
 /// One cell's full resilient evaluation: memory pre-flight (with shard
-/// shedding), fault injection, panic isolation, classification, bounded
-/// retry from the *same seed*, and structured failure assembly.
+/// shedding), fault injection, panic isolation, bounded retry of panics
+/// from the *same seed*, and structured failure assembly.
+///
+/// The pre-flight runs once: a refusal depends on the cell and the
+/// budget alone. An evaluation error (invalid grid, singular system,
+/// solver non-convergence, …) keeps its original [`SweepError`] after
+/// one attempt, since re-running the same `(cell, seed)` replays the
+/// same solves.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_resilient(
     scenario: &Scenario,
@@ -507,13 +511,19 @@ fn evaluate_resilient(
     fault_plan: &FaultPlan,
     memory_budget: &MemoryBudget,
 ) -> Result<Vec<Vec<Value>>, SweepError> {
-    // Fatal evaluation errors keep their original SweepError (so callers
-    // matching on InvalidScenario / Params / Markov still see them);
-    // transient kinds that exhaust the ladder become CellFailure.
-    let mut original: Option<SweepError> = None;
+    let failure = |kind, attempts| {
+        SweepError::Cell(CellFailure {
+            scenario: scenario.name.clone(),
+            cell_index: cell.index,
+            seed,
+            attempts,
+            kind,
+        })
+    };
+    let shards = plan_shards(&scenario.kind, cell, threads, memory_budget)
+        .map_err(|kind| failure(kind, 1))?;
     let outcome = run_with_retry(retry, |attempt| {
-        let shards = plan_shards(&scenario.kind, cell, threads, memory_budget)?;
-        let evaluated = catch_panic(|| {
+        catch_panic(|| {
             if fault_plan.should_panic(slot, attempt) {
                 panic!("injected fault: panic-cell={slot}@{attempt}");
             }
@@ -522,31 +532,11 @@ fn evaluate_resilient(
             // unless the memory pre-flight shed shards; shard-invariance
             // keeps the bytes independent of it either way.
             scenario.kind.evaluate(cell, seed, shards)
-        })?;
-        evaluated.map_err(|e| {
-            let kind = classify(&e);
-            if matches!(kind, FailureKind::Fatal(_)) {
-                original = Some(e);
-            }
-            kind
         })
     });
     match outcome {
-        Ok((rows, _attempts)) => Ok(rows),
-        Err((kind, attempts)) => {
-            if matches!(kind, FailureKind::Fatal(_)) {
-                if let Some(e) = original {
-                    return Err(e);
-                }
-            }
-            Err(SweepError::Cell(CellFailure {
-                scenario: scenario.name.clone(),
-                cell_index: cell.index,
-                seed,
-                attempts,
-                kind,
-            }))
-        }
+        Ok((rows, _attempts)) => rows,
+        Err((kind, attempts)) => Err(failure(kind, attempts)),
     }
 }
 
@@ -576,19 +566,6 @@ fn plan_shards(
         shards /= 2;
     }
     budget.admit_degrading(ladder)
-}
-
-/// Maps an evaluation error to the retry taxonomy: solver
-/// non-convergence is transient (a retry may run a degraded but
-/// converging configuration); everything else fails the same way every
-/// time on the same `(config, seed)` and is fatal.
-fn classify(e: &SweepError) -> FailureKind {
-    match e {
-        SweepError::Markov(MarkovError::Linalg(LinalgError::NoConvergence { .. })) => {
-            FailureKind::NoConvergence(e.to_string())
-        }
-        other => FailureKind::Fatal(other.to_string()),
-    }
 }
 
 /// Stable FNV-1a hash of a scenario name (part of the seed derivation;
@@ -858,6 +835,9 @@ mod tests {
             SweepError::Cell(failure) => {
                 assert_eq!(failure.scenario, "des");
                 assert!(matches!(failure.kind, FailureKind::MemoryBudget { .. }));
+                // A refusal depends on the cell and the budget alone, so
+                // it is never retried.
+                assert_eq!(failure.attempts, 1);
                 let msg = failure.to_string();
                 assert!(msg.contains("memory budget"), "{msg}");
             }

@@ -1,5 +1,5 @@
 //! Artefact writers: one TSV/JSON file per report under an output
-//! directory (the shared sink every harness binary uses). Files land via
+//! directory (the sink `reproduce_all` writes through). Files land via
 //! tmp-and-rename ([`pollux_resilience::atomic_write`]), so a crash or
 //! injected kill mid-write can never leave a torn artefact behind — a
 //! later `--resume` run sees either the complete previous file or none.

@@ -157,7 +157,7 @@ fn resume_replays_journaled_cells_without_recomputing() {
     let resumed = SweepRunner::new()
         .with_threads(2)
         .with_journal_dir(&dir)
-        .with_retry(RetryPolicy::none())
+        .with_retry(RetryPolicy::new(1))
         .with_fault_plan(sabotage)
         .run_all(std::slice::from_ref(&s))
         .unwrap();

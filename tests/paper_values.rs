@@ -224,6 +224,24 @@ fn figure3_protocols_bound_the_family() {
 }
 
 #[test]
+fn rule1_threshold_is_inert_for_protocol1() {
+    // The paper never fixes nu. It gates only what a randomized (k > 1)
+    // maintenance does, so every k = 1 row of the nu sweep reports the
+    // same E(T_P), while the k = 7 rows move with nu.
+    let report = sweep("ablation_nu");
+    let polluted = |k: f64| -> Vec<f64> {
+        (0..report.rows.len())
+            .filter(|&r| report.f64(r, "k") == Some(k))
+            .map(|r| report.f64(r, "E_T_P").unwrap())
+            .collect()
+    };
+    let (k1, k7) = (polluted(1.0), polluted(7.0));
+    assert_eq!((k1.len(), k7.len()), (5, 5));
+    assert!(k1.iter().all(|p| (p - k1[0]).abs() < 1e-12), "{k1:?}");
+    assert!(k7.iter().any(|p| (p - k7[0]).abs() > 1e-6), "{k7:?}");
+}
+
+#[test]
 fn figure5_inferred_mu25_peak() {
     // The paper reports E(N_P(m))/n < 2.2%; mu = 25% reproduces that
     // ceiling (peak ~2.17% at n=500, d=90%).
