@@ -32,10 +32,13 @@
 //!
 //! The run has one verdict, [`SweepReport::all_ok`] over every report:
 //! the process exits 1 when a validation or verification column holds a
-//! `false` or a cell fails, 2 on a usage error, and 0 otherwise.
+//! `false` or a cell fails, 2 on a usage error, and 0 otherwise. A reader
+//! that closes stdout early (`reproduce_all --list | head -3`) only cuts
+//! the printing short: the run goes on and keeps its verdict.
 //! `POLLUX_FAULT` injects faults for the crash-safety smoke tests (see
 //! `pollux_resilience::fault`).
 
+use std::io::{ErrorKind, Write};
 use std::process::exit;
 
 use pollux_sweep::registry::{self, PAPER_ARTEFACTS};
@@ -44,19 +47,37 @@ use pollux_sweep::{Scenario, SweepArgs, SweepError, SweepReport, SweepRunner, US
 const ABOUT: &str = "reproduce_all — every paper artefact (or the named scenarios) as one \
                      parallel sweep\n\nusage: reproduce_all [options] [SCENARIO…]";
 
+/// `println!` that survives a closed stdout: once the reader has gone
+/// (`EPIPE`), the rest of the output is dropped instead of panicking.
+/// Any other write failure ends the run with status 1.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!($($arg)*))
+    };
+}
+
+fn out(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("reproduce_all: cannot write to stdout: {e}");
+            exit(1);
+        }
+    }
+}
+
 fn main() {
     let args = match SweepArgs::parse(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(msg) if msg == "help" => {
-            println!("{ABOUT}\n{USAGE}");
+            outln!("{ABOUT}\n{USAGE}");
             return;
         }
         Err(msg) => usage_error(&msg),
     };
     if args.list {
-        println!("available scenarios:");
+        outln!("available scenarios:");
         for s in registry::all() {
-            println!("  {:<18} {}", s.name, s.description);
+            outln!("  {:<18} {}", s.name, s.description);
         }
         return;
     }
@@ -67,7 +88,7 @@ fn main() {
     });
     let failed = mismatches(&reports);
     if failed.is_empty() {
-        println!("\nverdict: every validation AGREES");
+        outln!("\nverdict: every validation AGREES");
     } else {
         eprintln!("reproduce_all: MISMATCH in {}", failed.join(", "));
         exit(1);
@@ -114,10 +135,10 @@ fn run(args: &SweepArgs, runner: &SweepRunner) -> Result<Vec<SweepReport>, Sweep
         match &args.out_dir {
             Some(dir) => {
                 for path in pollux_sweep::write_report(report, dir, args.format)? {
-                    println!("wrote {}", path.display());
+                    outln!("wrote {}", path.display());
                 }
             }
-            None => println!(
+            None => outln!(
                 "\n=== {} — {} ===\n{}",
                 scenario.name,
                 scenario.description,
@@ -134,7 +155,7 @@ fn run(args: &SweepArgs, runner: &SweepRunner) -> Result<Vec<SweepReport>, Sweep
             report.merge_registry(&sidecar.registry);
             let path = dir.join(format!("{}.metrics.json", sidecar.scenario));
             report.write_json(&path)?;
-            println!("wrote {}", path.display());
+            outln!("wrote {}", path.display());
         }
     }
     Ok(reports)

@@ -1,3 +1,5 @@
+use std::sync::{Arc, OnceLock};
+
 use pollux_linalg::SolverOptions;
 use pollux_markov::{
     AbsorbingChain, MarkovError, PartitionSolvers, SojournAnalysis, SojournPartition,
@@ -65,13 +67,10 @@ impl AbsorptionSplit {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterAnalysis {
-    chain: ClusterChain,
+    chain: Arc<ClusterChain>,
     alpha: Vec<f64>,
     sojourn: SojournAnalysis,
     absorbing: AbsorptionEngine,
-    /// The sparse pipeline's shared solver bundle (sojourn, absorption
-    /// and hitting all run on it); `None` on the dense pipeline.
-    solvers: Option<PartitionSolvers>,
 }
 
 /// The absorption-side engine behind a [`ClusterAnalysis`].
@@ -87,80 +86,95 @@ enum AbsorptionEngine {
 /// Absorption metrics computed directly from the Figure-1 partition on
 /// the sparse representation: `ModelSpace` already knows the absorbing
 /// sets, so no Tarjan pass and no per-singleton-class solve is needed.
+/// Each metric is solved on its first read.
 #[derive(Debug, Clone)]
 struct SparseAbsorption {
+    /// The pipeline's shared solver bundle (sojourn, absorption and
+    /// hitting all run on it, and so do the analyses of other initial
+    /// conditions made by [`ClusterAnalysis::with_initial`]).
+    solvers: PartitionSolvers,
     /// `α N 1` — expected events to absorption.
-    expected_steps: f64,
+    expected_steps: OnceLock<Result<f64, MarkovError>>,
     /// Relation 9 aggregated per Figure-1 class.
-    split: AbsorptionSplit,
+    split: OnceLock<Result<AbsorptionSplit, MarkovError>>,
 }
 
 impl SparseAbsorption {
-    /// Builds the absorption metrics on the partition's **shared**
-    /// `T`-block solver — the block is never factored a second time.
-    fn build(
-        chain: &ClusterChain,
-        alpha: &[f64],
-        solvers: &PartitionSolvers,
-    ) -> Result<Self, MarkovError> {
-        let space = chain.space();
-        let transient = solvers.t_indices();
-        let solver = solvers.solver_t();
-
-        let steps = solver.solve(&vec![1.0; transient.len()])?;
-        let expected_steps = transient
-            .iter()
-            .enumerate()
-            .map(|(t, &g)| alpha[g] * steps[t])
-            .sum();
-
-        // bucket[j] = Figure-1 class of absorbing state j (or MAX).
-        const BUCKETS: usize = 4;
-        let mut bucket = vec![usize::MAX; space.len()];
-        let sets = [
-            space.safe_merge(),
-            space.safe_split(),
-            space.polluted_merge(),
-            space.polluted_split(),
-        ];
-        for (b, set) in sets.iter().enumerate() {
-            for &j in *set {
-                bucket[j] = b;
-            }
+    fn new(solvers: PartitionSolvers) -> Self {
+        SparseAbsorption {
+            solvers,
+            expected_steps: OnceLock::new(),
+            split: OnceLock::new(),
         }
-        // r[b][t] = P(transient[t] → bucket b in one step), one pass.
-        let mut rhs = vec![vec![0.0; transient.len()]; BUCKETS];
-        for (t, &g) in transient.iter().enumerate() {
-            for (j, v) in chain.sparse_dtmc().successors(g) {
-                if bucket[j] != usize::MAX {
-                    rhs[bucket[j]][t] += v;
+    }
+
+    /// `α N 1`, on the partition's **shared** `T`-block solver.
+    fn expected_steps(&self, alpha: &[f64]) -> Result<f64, MarkovError> {
+        self.expected_steps
+            .get_or_init(|| {
+                let transient = self.solvers.t_indices();
+                let steps = self.solvers.solver_t().solve(&vec![1.0; transient.len()])?;
+                Ok(transient
+                    .iter()
+                    .enumerate()
+                    .map(|(t, &g)| alpha[g] * steps[t])
+                    .sum())
+            })
+            .clone()
+    }
+
+    /// Relation 9 per Figure-1 class, on the same `T`-block solver.
+    fn split(&self, chain: &ClusterChain, alpha: &[f64]) -> Result<AbsorptionSplit, MarkovError> {
+        self.split
+            .get_or_init(|| {
+                let space = chain.space();
+                let transient = self.solvers.t_indices();
+                // bucket[j] = Figure-1 class of absorbing state j (or MAX).
+                const BUCKETS: usize = 4;
+                let mut bucket = vec![usize::MAX; space.len()];
+                let sets = [
+                    space.safe_merge(),
+                    space.safe_split(),
+                    space.polluted_merge(),
+                    space.polluted_split(),
+                ];
+                for (b, set) in sets.iter().enumerate() {
+                    for &j in *set {
+                        bucket[j] = b;
+                    }
                 }
-            }
-        }
-        let sols = solver.solve_many(&rhs)?;
-        let mut masses = [0.0f64; BUCKETS];
-        for (b, sol) in masses.iter_mut().zip(sols.iter()) {
-            *b = transient
-                .iter()
-                .enumerate()
-                .map(|(t, &g)| alpha[g] * sol[t])
-                .sum();
-        }
-        // Initial mass already sitting on an absorbing state stays there.
-        for (j, &a) in alpha.iter().enumerate() {
-            if a > 0.0 && bucket[j] != usize::MAX {
-                masses[bucket[j]] += a;
-            }
-        }
-        Ok(SparseAbsorption {
-            expected_steps,
-            split: AbsorptionSplit {
-                safe_merge: masses[0],
-                safe_split: masses[1],
-                polluted_merge: masses[2],
-                polluted_split: masses[3],
-            },
-        })
+                // r[b][t] = P(transient[t] → bucket b in one step), one pass.
+                let mut rhs = vec![vec![0.0; transient.len()]; BUCKETS];
+                for (t, &g) in transient.iter().enumerate() {
+                    for (j, v) in chain.sparse_dtmc().successors(g) {
+                        if bucket[j] != usize::MAX {
+                            rhs[bucket[j]][t] += v;
+                        }
+                    }
+                }
+                let sols = self.solvers.solver_t().solve_many(&rhs)?;
+                let mut masses = [0.0f64; BUCKETS];
+                for (b, sol) in masses.iter_mut().zip(sols.iter()) {
+                    *b = transient
+                        .iter()
+                        .enumerate()
+                        .map(|(t, &g)| alpha[g] * sol[t])
+                        .sum();
+                }
+                // Initial mass already sitting on an absorbing state stays there.
+                for (j, &a) in alpha.iter().enumerate() {
+                    if a > 0.0 && bucket[j] != usize::MAX {
+                        masses[bucket[j]] += a;
+                    }
+                }
+                Ok(AbsorptionSplit {
+                    safe_merge: masses[0],
+                    safe_split: masses[1],
+                    polluted_merge: masses[2],
+                    polluted_split: masses[3],
+                })
+            })
+            .clone()
     }
 }
 
@@ -206,6 +220,16 @@ impl ClusterAnalysis {
     /// As [`ClusterAnalysis::from_chain`] with an explicit pipeline
     /// choice.
     ///
+    /// The sparse pipeline factors the transient block `T` here, so a
+    /// singular chain fails in the constructor, and computes every
+    /// metric on its first read: `E(T_S)`, `E(T_P)`, the variances and
+    /// the absorption metrics solve against `T` alone, and only the
+    /// sojourn series, the time distributions and the pollution
+    /// probability set up the `S` and `P` blocks. Each value is kept, so
+    /// a second read costs nothing, and the bits do not depend on the
+    /// order of the reads (see [`SojournAnalysis::new_sparse`] for the
+    /// iterative solver's one exception).
+    ///
     /// # Errors
     ///
     /// As [`ClusterAnalysis::from_chain`].
@@ -214,34 +238,74 @@ impl ClusterAnalysis {
         initial: InitialCondition,
         mode: AnalysisMode,
     ) -> Result<Self, MarkovError> {
-        let sparse = mode == AnalysisMode::Sparse;
+        Self::on_chain(Arc::new(chain), initial, mode)
+    }
+
+    fn on_chain(
+        chain: Arc<ClusterChain>,
+        initial: InitialCondition,
+        mode: AnalysisMode,
+    ) -> Result<Self, MarkovError> {
         let alpha = initial.distribution(chain.space())?;
         let partition = SojournPartition::new(
             chain.space().transient_safe().to_vec(),
             chain.space().transient_polluted().to_vec(),
         )?;
-        let (sojourn, absorbing, solvers) = if sparse {
+        let (sojourn, absorbing) = if mode == AnalysisMode::Sparse {
             // One solver bundle serves all three stages: the T block
             // (sojourn totals + absorption) and the S block (sojourn side
-            // + pollution hitting) are each factored exactly once.
+            // + pollution hitting) are each factored at most once.
             let options = SolverOptions::default();
             let solvers = PartitionSolvers::build(chain.sparse_dtmc(), &partition, options)?;
             let sojourn =
                 SojournAnalysis::new_sparse_shared(chain.sparse_dtmc(), &alpha, &solvers)?;
-            let absorbing =
-                AbsorptionEngine::Sparse(SparseAbsorption::build(&chain, &alpha, &solvers)?);
-            (sojourn, absorbing, Some(solvers))
+            (
+                sojourn,
+                AbsorptionEngine::Sparse(SparseAbsorption::new(solvers)),
+            )
         } else {
             let sojourn = SojournAnalysis::new(chain.dtmc(), &partition, &alpha)?;
             let absorbing = AbsorptionEngine::Dense(Box::new(AbsorbingChain::new(chain.dtmc())?));
-            (sojourn, absorbing, None)
+            (sojourn, absorbing)
         };
         Ok(ClusterAnalysis {
             chain,
             alpha,
             sojourn,
             absorbing,
-            solvers,
+        })
+    }
+
+    /// The same chain analysed under another initial condition. On the
+    /// sparse pipeline the new analysis shares this one's factored
+    /// blocks, including the `S` and `P` factors either sets up later.
+    /// Where the blocks are LU-factored (below the solver crossover) it
+    /// gives the bits a fresh [`ClusterAnalysis::from_chain`] would.
+    /// Above the crossover a block solves iteratively, and once BiCGSTAB
+    /// breaks down, the SOR fallback starts from the relaxation factor
+    /// that earlier solves on the shared block learned, so the bits then
+    /// depend on which solves ran first (see
+    /// [`SojournAnalysis::new_sparse`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates initial-distribution validation failures (and, on the
+    /// dense pipeline, linear-algebra failures).
+    pub fn with_initial(&self, initial: InitialCondition) -> Result<Self, MarkovError> {
+        let AbsorptionEngine::Sparse(absorption) = &self.absorbing else {
+            return Self::on_chain(Arc::clone(&self.chain), initial, AnalysisMode::Dense);
+        };
+        let alpha = initial.distribution(self.chain.space())?;
+        let sojourn = SojournAnalysis::new_sparse_shared(
+            self.chain.sparse_dtmc(),
+            &alpha,
+            &absorption.solvers,
+        )?;
+        Ok(ClusterAnalysis {
+            chain: Arc::clone(&self.chain),
+            alpha,
+            sojourn,
+            absorbing: AbsorptionEngine::Sparse(SparseAbsorption::new(absorption.solvers.clone())),
         })
     }
 
@@ -289,27 +353,48 @@ impl ClusterAnalysis {
     pub fn expected_absorption_events(&self) -> Result<f64, MarkovError> {
         match &self.absorbing {
             AbsorptionEngine::Dense(abs) => abs.expected_steps(&self.alpha),
-            AbsorptionEngine::Sparse(abs) => Ok(abs.expected_steps),
+            AbsorptionEngine::Sparse(abs) => abs.expected_steps(&self.alpha),
         }
     }
 
     /// `E(T_{S,n})` for `n = 1..=count` (Relation 7).
+    ///
+    /// # Panics
+    ///
+    /// On the sparse pipeline the `S` and `P` solvers are set up on the
+    /// first series or distribution read, so a failure to set them up
+    /// panics here instead of failing the constructor, and so does an
+    /// iterative solve that exhausts its budget (see
+    /// [`SojournAnalysis::expected_sojourns_s`]). A sweep retries a
+    /// panicking cell, then reports it as a panic.
     pub fn successive_safe_sojourns(&self, count: usize) -> Vec<f64> {
         self.sojourn.expected_sojourns_s(count)
     }
 
     /// `E(T_{P,n})` for `n = 1..=count` (Relation 8).
+    ///
+    /// # Panics
+    ///
+    /// As [`ClusterAnalysis::successive_safe_sojourns`].
     pub fn successive_polluted_sojourns(&self, count: usize) -> Vec<f64> {
         self.sojourn.expected_sojourns_p(count)
     }
 
     /// Distribution `P(T_S = j)`, `j = 0..=j_max` (beyond-paper extension
     /// from the same censored-chain construction).
+    ///
+    /// # Panics
+    ///
+    /// As [`ClusterAnalysis::successive_safe_sojourns`].
     pub fn safe_time_distribution(&self, j_max: usize) -> Vec<f64> {
         self.sojourn.distribution_s(j_max)
     }
 
     /// Distribution `P(T_P = j)`, `j = 0..=j_max`.
+    ///
+    /// # Panics
+    ///
+    /// As [`ClusterAnalysis::successive_safe_sojourns`].
     pub fn polluted_time_distribution(&self, j_max: usize) -> Vec<f64> {
         self.sojourn.distribution_p(j_max)
     }
@@ -346,14 +431,14 @@ impl ClusterAnalysis {
     /// Propagates linear-algebra failures.
     pub fn pollution_probability(&self) -> Result<f64, MarkovError> {
         let space = self.chain.space();
-        if let Some(solvers) = &self.solvers {
+        if let AbsorptionEngine::Sparse(SparseAbsorption { solvers, .. }) = &self.absorbing {
             // Hitting mass on the shared S-block solver: a trajectory
             // started in the safe transient band S gets polluted exactly
             // when it leaves S into P ∪ AmP ∪ AℓP, so with
             // r[i] = P(i → P ∪ AmP ∪ AℓP in one step),
             //   P(ever polluted | start i ∈ S) = [(I − M_S)⁻¹ r]_i
-            // — one solve on a factorization the sojourn stage already
-            // set up, instead of a dedicated hitting system. Solving for
+            // — one solve on the factorization the sojourn series share,
+            // instead of a dedicated hitting system. Solving for
             // the hitting mass itself (not 1 − P(never)) keeps full
             // relative precision for small probabilities.
             let s_idx = solvers.s_indices();
@@ -374,7 +459,7 @@ impl ClusterAnalysis {
                     }
                 }
             }
-            let p_hit = solvers.solver_s().solve(&r)?;
+            let p_hit = solvers.solver_s()?.solve(&r)?;
             let mut ever: f64 = s_idx
                 .iter()
                 .enumerate()
@@ -431,7 +516,7 @@ impl ClusterAnalysis {
     /// Propagates distribution validation failures.
     pub fn absorption_split(&self) -> Result<AbsorptionSplit, MarkovError> {
         let abs = match &self.absorbing {
-            AbsorptionEngine::Sparse(sparse) => return Ok(sparse.split),
+            AbsorptionEngine::Sparse(sparse) => return sparse.split(&self.chain, &self.alpha),
             AbsorptionEngine::Dense(abs) => abs,
         };
         let probs = abs.absorption_probabilities(&self.alpha)?;
@@ -463,6 +548,7 @@ impl ClusterAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdversaryToggles;
 
     fn analysis(mu: f64, d: f64, k: usize, initial: InitialCondition) -> ClusterAnalysis {
         let params = ModelParams::paper_defaults()
@@ -668,6 +754,22 @@ mod tests {
     }
 
     #[test]
+    fn a_dense_sibling_matches_a_fresh_dense_analysis() {
+        let params = ModelParams::paper_defaults().with_mu(0.25).with_d(0.9);
+        let dense = |initial| {
+            ClusterAnalysis::new_with_mode(&params, initial, AnalysisMode::Dense).unwrap()
+        };
+        let sibling = dense(InitialCondition::Delta)
+            .with_initial(InitialCondition::Beta)
+            .unwrap();
+        assert!(!sibling.is_sparse());
+        let bits = |a: &ClusterAnalysis| -> Vec<u64> {
+            sweep_metrics(a).into_iter().map(f64::to_bits).collect()
+        };
+        assert_eq!(bits(&sibling), bits(&dense(InitialCondition::Beta)));
+    }
+
+    #[test]
     fn sparse_pollution_probability_keeps_relative_precision() {
         // 1 − P(never polluted) would round a 1e-17 probability away;
         // solving for the hitting mass keeps it to the last digits.
@@ -715,6 +817,151 @@ mod tests {
             assert!((split.total() - 1.0).abs() < 1e-8, "{}", split.total());
             let tot = default.expected_absorption_events().unwrap();
             assert!((ts + tp - tot).abs() < 1e-7 * tot, "{ts} + {tp} != {tot}");
+        }
+    }
+
+    /// `(C, Δ, k, μ, d)`.
+    type GoldenParams = (usize, usize, usize, f64, f64);
+
+    /// E(T_S), E(T_P), the expected absorption events, the absorption
+    /// split (AmS, AℓS, AmP, AℓP), Var(T_S), Var(T_P), E(T_S,1..3),
+    /// E(T_P,1..3), the pollution probability and the steady-state
+    /// (safe, polluted) fractions, as bits, per (C, Δ, k, μ, d) and
+    /// initial condition. Captured from the eager pipeline that
+    /// computed every metric at construction; the C = 4 set ablates
+    /// Rule 2 so AℓP is not 0.
+    #[rustfmt::skip]
+    const GOLDEN: [(GoldenParams, &str, [u64; 18]); 8] = [
+        ((7, 7, 1, 0.2, 0.9), "delta", [
+            0x4027d9afb2b7467b, 0x3fe2bd704c3ab372, 0x40290586b77af1b6, 0x3fdf6dfe8ff6ff69,
+            0x3fde2affce999843, 0x3fa3380d0b7b42fc, 0x0000000000000000, 0x40549d71905dc16a,
+            0x40353e5dd4cd182b, 0x4027c7c9499f3eb5, 0x3fa12c32ec5a7b3b, 0x3f56515d5a69b03e,
+            0x3fe1dba0758a0a39, 0x3f9b0386e9b7512d, 0x3f52974eefd2a3de, 0x3fa5b26b46877512,
+            0x3fec3e96887c9f99, 0x3fa6314f9a2394d8,
+        ]),
+        ((7, 7, 1, 0.2, 0.9), "beta", [
+            0x401cc882194850ff, 0x4014996baa876c70, 0x4028b0f6e1e7deb9, 0x3fd12fa77a65e6ff,
+            0x3fddac25098231c6, 0x3fd124337c17e75a, 0x0000000000000000, 0x404ec6bdf3a2f2b4,
+            0x406594009f59d3d4, 0x401c380d2a8b50a1, 0x3fc150cf8cd2aa0b, 0x3f76bf47b2ab2dde,
+            0x4013bd9b571d7a20, 0x3fca45df66c30af7, 0x3f82734cd447b07d, 0x3fd36f3efec97a96,
+            0x3fe14107b6c1c299, 0x3fd8b245b41e28a3,
+        ]),
+        ((7, 7, 7, 0.3, 0.8), "delta", [
+            0x40269db5171c7988, 0x3ff82aeeebec0baa, 0x4029a312f499faf8, 0x3fde48763defc914,
+            0x3fdc466f044eb49f, 0x3fb5c46af7060948, 0x0000000000000000, 0x40500fa21260ca1b,
+            0x40455d019996828d, 0x4026510871befe49, 0x3fc202f2226706b0, 0x3f816422e9d23890,
+            0x3ff62c306ed3a701, 0x3fbdd83605e31626, 0x3f7f313775fe41ac, 0x3fbb4ec6dc7b637e,
+            0x3fea2fb724ff0469, 0x3fbbfba6850d3a22,
+        ]),
+        ((7, 7, 7, 0.3, 0.8), "beta", [
+            0x401235a11185af51, 0x402269bd6d97d28e, 0x402b848df65aaa3b, 0x3fc9814d867bd051,
+            0x3fd31cfd45cbf528, 0x3fe0112dfb7b1152, 0x0000000000000000, 0x404262dc66de788c,
+            0x40696e6dc240641c, 0x4011301272899b2f, 0x3fcea86d07daac02, 0x3f8e9be5acfcd7f2,
+            0x402171d98f9b07de, 0x3fdd10af174355dc, 0x3f9cdd49fc299656, 0x3fe287640fbad132,
+            0x3fd3bda27b4a676b, 0x3fe3f620a88036e4,
+        ]),
+        ((4, 4, 2, 0.25, 0.5), "delta", [
+            0x400ff2f439f3773b, 0x3fa202683b7dc621, 0x40101d7eed70b72a, 0x3fdedba0f591f722,
+            0x3fe0371cdc6f1018, 0x3f7d78c81de77425, 0x3f70108c4612b787, 0x401f6001c7fbf236,
+            0x3fc6f57701b71c11, 0x400fe5deec2b2ca5, 0x3f79c38f5bb9706c, 0x3f19570dfeaba3c2,
+            0x3fa1b03ed7e993b2, 0x3f4432537b902f82, 0x3ee5a3ca2fd75bc4, 0x3f8d576ca27e7a89,
+            0x3fe969af4252178b, 0x3f7ca66611f07eb9,
+        ]),
+        ((4, 4, 2, 0.25, 0.5), "beta", [
+            0x4003b2be6bdc455a, 0x3ff07afe29ac192b, 0x400bf03d80b251ee, 0x3fd47174f0ea3c2c,
+            0x3fd8a5f2aa7d03fa, 0x3fc1e9132222dcb6, 0x3fc3e81da70ea2fe, 0x401d5d0cdd4e4285,
+            0x401179723cd59888, 0x400364e05e0fc5c3, 0x3fa324ce2ea7712a, 0x3f44558685fcad0a,
+            0x3ff031a7e7766ad1, 0x3f9207fe2bc9872c, 0x3f331250f71bbbf7, 0x3fd71ed201c59db8,
+            0x3fe18a1e047ba136, 0x3fcd59479b7d220d,
+        ]),
+        ((7, 14, 1, 0.3, 0.9), "delta", [
+            0x404103263b913986, 0x40325b3c156e79a7, 0x404a30c446487659, 0x3fc341be711e67f0,
+            0x3fdfea4cf0c53370, 0x3fd674d3d6ab989e, 0x0000000000000000, 0x40735fb78c426f0c,
+            0x409845e7dd093fb2, 0x4040c7b41916570b, 0x3fdbd11e606aae20, 0x3f9c91bf232f9d0f,
+            0x4030f50c0989cd4c, 0x3ff4da00df955342, 0x3fb6f7762aabd675, 0x3fd776b8aafb37c4,
+            0x3fe4658373b57568, 0x3fd6020c1b0b6858,
+        ]),
+        ((7, 14, 1, 0.3, 0.9), "beta", [
+            0x40244e79a5fed160, 0x40425118aca82881, 0x404764b71627dcd7, 0x3fb461ac391bd7e3,
+            0x3fd0a9fe4f5379e1, 0x3fe51ecb5132c807, 0x0000000000000000, 0x406651cd0b137ed9,
+            0x40a4067be420c985, 0x4023745b0a495af8, 0x3fd985fac471d86f, 0x3f9a1b16d4dbe0cf,
+            0x40413ad1c68d3fa2, 0x400032b7ad7be6fe, 0x3fc1dd003ca44d17, 0x3fe5ffcd466adc3c,
+            0x3fcb3237fbf39dbd, 0x3fe888047248e0c5,
+        ]),
+    ];
+
+    /// Each read fills its slots of the golden layout.
+    type Read = fn(&ClusterAnalysis, &mut [f64; 18]);
+    const READS: [Read; 10] = [
+        |a, v| v[0] = a.expected_safe_events().unwrap(),
+        |a, v| v[1] = a.expected_polluted_events().unwrap(),
+        |a, v| v[2] = a.expected_absorption_events().unwrap(),
+        |a, v| {
+            let s = a.absorption_split().unwrap();
+            v[3..7].copy_from_slice(&[
+                s.safe_merge,
+                s.safe_split,
+                s.polluted_merge,
+                s.polluted_split,
+            ]);
+        },
+        |a, v| v[7] = a.variance_safe_events().unwrap(),
+        |a, v| v[8] = a.variance_polluted_events().unwrap(),
+        |a, v| v[9..12].copy_from_slice(&a.successive_safe_sojourns(3)),
+        |a, v| v[12..15].copy_from_slice(&a.successive_polluted_sojourns(3)),
+        |a, v| v[15] = a.pollution_probability().unwrap(),
+        |a, v| (v[16], v[17]) = a.steady_state_fractions().unwrap(),
+    ];
+
+    fn golden_read(a: &ClusterAnalysis, reversed: bool) -> [u64; 18] {
+        let mut values = [f64::NAN; 18];
+        let mut reads = READS.to_vec();
+        if reversed {
+            reads.reverse();
+        }
+        for read in reads {
+            read(a, &mut values);
+        }
+        values.map(f64::to_bits)
+    }
+
+    #[test]
+    fn lazy_reads_keep_the_eager_bits_in_any_order() {
+        for ((c, delta, k, mu, d), label, want) in GOLDEN {
+            let mut params = ModelParams::new(c, delta, k).unwrap().with_mu(mu).with_d(d);
+            if c == 4 {
+                params = params.with_toggles(AdversaryToggles {
+                    rule2: false,
+                    ..AdversaryToggles::all()
+                });
+            }
+            let initial = match label {
+                "delta" => InitialCondition::Delta,
+                _ => InitialCondition::Beta,
+            };
+            let name = format!("C={c} Delta={delta} k={k} mu={mu} d={d} {label}");
+            for reversed in [false, true] {
+                let a = ClusterAnalysis::new(&params, initial.clone()).unwrap();
+                assert_eq!(
+                    golden_read(&a, reversed),
+                    want,
+                    "{name} reversed={reversed}"
+                );
+            }
+            // A sibling made for this initial condition from an analysis
+            // of the other one shares its blocks and keeps the bits, read
+            // before or after the analysis it came from.
+            let other = match initial {
+                InitialCondition::Delta => InitialCondition::Beta,
+                _ => InitialCondition::Delta,
+            };
+            let first = ClusterAnalysis::new(&params, other.clone()).unwrap();
+            let sibling = first.with_initial(initial.clone()).unwrap();
+            assert!(sibling.is_sparse());
+            assert_eq!(golden_read(&sibling, true), want, "{name} sibling");
+            let reread = first.with_initial(initial).unwrap();
+            golden_read(&first, false);
+            assert_eq!(golden_read(&reread, false), want, "{name} sibling after");
         }
     }
 

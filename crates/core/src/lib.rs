@@ -81,4 +81,4 @@ pub use overlay_analysis::{OverlayModel, ProportionPoint};
 pub use params::{AdversaryToggles, ModelParams, ParamsError};
 pub use space::ModelSpace;
 pub use state::{ClusterState, StateClass};
-pub use transition::{polluted_split_unreachable, ClusterChain};
+pub use transition::{polluted_split_unreachable, ChainKey, ClusterChain};

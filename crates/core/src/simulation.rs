@@ -310,8 +310,14 @@ pub struct SimReport {
     pub replications: u64,
 }
 
-/// Runs `replications` independent trajectories (parallel over `threads`)
-/// with starts drawn from `initial`, and aggregates the estimates.
+/// Runs `replications` independent trajectories with starts drawn from
+/// `initial`, and aggregates the estimates.
+///
+/// Replication `i` draws from the stream seeded by
+/// [`replication::replication_seed`]`(master_seed, i)`. The replications
+/// run in order on the calling thread, each outcome folded into the
+/// accumulators as it finishes. The last argument, a thread count, is
+/// unused; it stays for the callers that pass one.
 ///
 /// # Panics
 ///
@@ -323,7 +329,7 @@ pub fn estimate<S: Strategy + Sync>(
     strategy: &S,
     replications: usize,
     master_seed: u64,
-    threads: usize,
+    _threads: usize,
 ) -> SimReport {
     assert!(replications > 0, "need at least one replication");
     let space = ModelSpace::new(params);
@@ -333,28 +339,27 @@ pub fn estimate<S: Strategy + Sync>(
     let start_table = AliasTable::new(&alpha).expect("alpha is a distribution");
     let start_states: Vec<ClusterState> = space.iter().map(|(_, st)| *st).collect();
 
-    let outcomes: Vec<RunOutcome> =
-        replication::run_parallel(replications, master_seed, threads, |_, seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let start = start_states[start_table.sample(&mut rng)];
-            // A start on an absorbing state is legal (β never produces one,
-            // δ never either, but Custom may): it absorbs immediately.
-            if start.classify(params).is_absorbing() {
-                return RunOutcome {
-                    safe_events: 0,
-                    polluted_events: 0,
-                    first_safe_sojourn: 0,
-                    first_polluted_sojourn: 0,
-                    absorbed: match start.classify(params) {
-                        StateClass::SafeMerge => AbsorbedIn::SafeMerge,
-                        StateClass::SafeSplit => AbsorbedIn::SafeSplit,
-                        StateClass::PollutedMerge => AbsorbedIn::PollutedMerge,
-                        _ => AbsorbedIn::PollutedSplit,
-                    },
-                };
-            }
-            ClusterSimulator::new(params, strategy).run(start, &mut rng)
-        });
+    let replicate = |seed: u64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let start = start_states[start_table.sample(&mut rng)];
+        // A start on an absorbing state is legal (β never produces one,
+        // δ never either, but Custom may): it absorbs immediately.
+        if start.classify(params).is_absorbing() {
+            return RunOutcome {
+                safe_events: 0,
+                polluted_events: 0,
+                first_safe_sojourn: 0,
+                first_polluted_sojourn: 0,
+                absorbed: match start.classify(params) {
+                    StateClass::SafeMerge => AbsorbedIn::SafeMerge,
+                    StateClass::SafeSplit => AbsorbedIn::SafeSplit,
+                    StateClass::PollutedMerge => AbsorbedIn::PollutedMerge,
+                    _ => AbsorbedIn::PollutedSplit,
+                },
+            };
+        }
+        ClusterSimulator::new(params, strategy).run(start, &mut rng)
+    };
 
     let mut safe = Welford::new();
     let mut polluted = Welford::new();
@@ -362,7 +367,7 @@ pub fn estimate<S: Strategy + Sync>(
     let mut first_p = Welford::new();
     let mut counts = [0u64; 4];
     let mut censored = 0u64;
-    for o in &outcomes {
+    let mut fold = |o: RunOutcome| {
         safe.push(o.safe_events as f64);
         polluted.push(o.polluted_events as f64);
         first_s.push(o.first_safe_sojourn as f64);
@@ -374,6 +379,9 @@ pub fn estimate<S: Strategy + Sync>(
             AbsorbedIn::PollutedSplit => counts[3] += 1,
             AbsorbedIn::Censored => censored += 1,
         }
+    };
+    for i in 0..replications as u64 {
+        fold(replicate(replication::replication_seed(master_seed, i)));
     }
     let absorbed_total = (replications as u64 - censored).max(1) as f64;
     SimReport {
@@ -427,10 +435,21 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let p = params(0.2, 0.8, 1);
         let strategy = TargetedStrategy::new(1, 0.1).unwrap();
-        let a = estimate(&p, &InitialCondition::Delta, &strategy, 500, 7, 4);
-        let b = estimate(&p, &InitialCondition::Delta, &strategy, 500, 7, 2);
-        assert_eq!(a.safe_events.mean, b.safe_events.mean);
-        assert_eq!(a.absorption, b.absorption);
+        let one = estimate(&p, &InitialCondition::Delta, &strategy, 500, 7, 1);
+        for threads in [2, 4] {
+            let many = estimate(&p, &InitialCondition::Delta, &strategy, 500, 7, threads);
+            assert_eq!(one, many, "{threads} threads");
+            for (a, b) in [
+                (one.safe_events, many.safe_events),
+                (one.polluted_events, many.polluted_events),
+                (one.first_safe_sojourn, many.first_safe_sojourn),
+                (one.first_polluted_sojourn, many.first_polluted_sojourn),
+            ] {
+                assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{threads} threads");
+                assert_eq!(a.variance.to_bits(), b.variance.to_bits());
+                assert_eq!(a.ci_half_width.to_bits(), b.ci_half_width.to_bits());
+            }
+        }
     }
 
     #[test]

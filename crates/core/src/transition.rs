@@ -182,6 +182,39 @@ impl ClusterChain {
     }
 }
 
+/// The bits of every [`ModelParams`] field [`ClusterChain::build`] reads:
+/// the sizes `C`, `Δ` and `k`, the bits of `μ`, `d` and `ν`, and the
+/// adversary toggles. The builder is a function of these alone, so equal
+/// keys build bit-identical chains, and a key names everything derived
+/// from an undefended chain. Bits are compared, not values, so `-0.0`
+/// and `0.0` are different keys.
+///
+/// ```
+/// use pollux::{ChainKey, ModelParams};
+///
+/// let params = ModelParams::paper_defaults().with_mu(0.2).with_d(0.9);
+/// assert_eq!(ChainKey::new(&params), ChainKey::new(&params.clone()));
+/// assert_ne!(ChainKey::new(&params), ChainKey::new(&params.with_nu(0.2)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ChainKey {
+    sizes: [usize; 3],
+    bits: [u64; 3],
+    toggles: [bool; 3],
+}
+
+impl ChainKey {
+    /// The key of the chain [`ClusterChain::build`] builds for `params`.
+    pub fn new(params: &ModelParams) -> Self {
+        let t = params.toggles();
+        ChainKey {
+            sizes: [params.core_size(), params.max_spare(), params.k()],
+            bits: [params.mu(), params.d(), params.nu()].map(f64::to_bits),
+            toggles: [t.rule1, t.rule2, t.bias],
+        }
+    }
+}
+
 /// Enumerates the outgoing transitions of one transient state as
 /// `(target, probability)` pairs (targets may repeat; the builder sums).
 ///

@@ -13,8 +13,8 @@
 //! stream with [`replication::replication_seed`] and, the clusters being
 //! independent, plays each cluster's Poisson arrivals to their end,
 //! 1024-cluster block by block, with no future-event list; the
-//! single-cluster simulator `pollux::simulation` replicates with
-//! [`replication::run_parallel`].
+//! single-cluster simulator `pollux::simulation` seeds its replications
+//! the same way and runs them in order on the calling thread.
 //!
 //! # Example
 //!

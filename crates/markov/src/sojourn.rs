@@ -1,4 +1,4 @@
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pollux_linalg::sparse::CsrMatrix;
 use pollux_linalg::{vec_ops, Lu, Matrix, SolverOptions, TransientSolver};
@@ -46,41 +46,85 @@ impl SojournPartition {
 }
 
 /// The solver bundle of a sojourn partition, built **once** and shared by
-/// every downstream analysis stage.
+/// every downstream analysis stage and every initial distribution.
 ///
-/// A sparse [`SojournAnalysis`] needs factorizations/setups of three
-/// censored blocks — the full transient block `T = S ∪ P`, the `S` block
-/// and the `P` block — and so do its sibling stages (absorption metrics
-/// reuse `T`, hitting probabilities reuse `S`). Historically each stage
-/// set its own solvers up, factoring the `T` block multiple times per
-/// analysis; this bundle hoists the construction so each block is set up
-/// exactly once and handed around by [`Arc`].
+/// The analyses solve against three censored blocks: the full transient
+/// block `T = S ∪ P` (totals, variances, absorption metrics) and the `S`
+/// and `P` blocks (sojourn series and distributions, hitting
+/// probabilities). Construction extracts the blocks and sets up the `T`
+/// solver, so a partition holding a closed class fails here; the `S` and
+/// `P` solvers are set up on first use (a principal sub-block of a
+/// non-singular transient block is non-singular), so a reader of totals
+/// alone never factors them. Clones share everything, the solvers set up
+/// later included.
 ///
 /// Index sets are stored sorted ascending (the CSR block order).
 #[derive(Debug, Clone)]
 pub struct PartitionSolvers {
+    blocks: Arc<Blocks>,
+}
+
+#[derive(Debug)]
+struct Blocks {
     t_idx: Vec<usize>,
     s_idx: Vec<usize>,
     p_idx: Vec<usize>,
-    solver_t: Arc<TransientSolver>,
-    solver_s: Arc<TransientSolver>,
-    solver_p: Arc<TransientSolver>,
-    m_s: Arc<CsrMatrix>,
-    m_sp: Arc<CsrMatrix>,
-    m_ps: Arc<CsrMatrix>,
-    m_p: Arc<CsrMatrix>,
+    /// `true` at the positions of `T` that belong to `S`.
+    in_s: Vec<bool>,
+    options: SolverOptions,
+    solver_t: TransientSolver,
+    m_s: CsrMatrix,
+    m_sp: CsrMatrix,
+    m_ps: CsrMatrix,
+    m_p: CsrMatrix,
+    solver_s: OnceLock<Result<TransientSolver, MarkovError>>,
+    solver_p: OnceLock<Result<TransientSolver, MarkovError>>,
+}
+
+/// One subset of the partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Subset {
+    S,
+    P,
+}
+
+impl Subset {
+    fn other(self) -> Self {
+        match self {
+            Subset::S => Subset::P,
+            Subset::P => Subset::S,
+        }
+    }
+}
+
+/// One side's view of the blocks: `A` is "our" subset, `B` the other.
+struct Roles<'a> {
+    a_idx: &'a [usize],
+    b_idx: &'a [usize],
+    m_a: &'a CsrMatrix,
+    m_ab: &'a CsrMatrix,
+    m_ba: &'a CsrMatrix,
+}
+
+/// The value in `cell`, computed by `f` on first read. A failure is kept
+/// too: reading again would replay the same solves.
+fn cached<T>(
+    cell: &OnceLock<Result<T, MarkovError>>,
+    f: impl FnOnce() -> Result<T, MarkovError>,
+) -> Result<&T, MarkovError> {
+    cell.get_or_init(f).as_ref().map_err(Clone::clone)
 }
 
 impl PartitionSolvers {
     /// Extracts the censored blocks of `partition` from `chain` and sets
-    /// up the three solvers.
+    /// up the solver of the full transient block.
     ///
     /// # Errors
     ///
     /// * [`MarkovError::InvalidState`] for an out-of-range partition
     ///   index.
-    /// * [`MarkovError::Linalg`] when a block is singular (the subset
-    ///   contains a closed class) or an iterative setup fails.
+    /// * [`MarkovError::Linalg`] when the transient block is singular
+    ///   (a subset contains a closed class).
     pub fn build(
         chain: &SparseDtmc,
         partition: &SojournPartition,
@@ -103,56 +147,102 @@ impl PartitionSolvers {
         t_idx.sort_unstable();
 
         let p = chain.matrix();
-        let q_t = sparse_block(p, &t_idx, &t_idx);
-        let solver_t = Arc::new(TransientSolver::new(&q_t, options)?);
-        let m_s = Arc::new(sparse_block(p, &s_idx, &s_idx));
-        let m_sp = Arc::new(sparse_block(p, &s_idx, &p_idx));
-        let m_ps = Arc::new(sparse_block(p, &p_idx, &s_idx));
-        let m_p = Arc::new(sparse_block(p, &p_idx, &p_idx));
-        let solver_s = Arc::new(TransientSolver::new(&m_s, options)?);
-        let solver_p = Arc::new(TransientSolver::new(&m_p, options)?);
+        let solver_t = TransientSolver::new(&sparse_block(p, &t_idx, &t_idx), options)?;
+        let mut s_members = s_idx.iter().peekable();
+        let in_s = t_idx
+            .iter()
+            .map(|g| s_members.next_if_eq(&g).is_some())
+            .collect();
         Ok(PartitionSolvers {
-            t_idx,
-            s_idx,
-            p_idx,
-            solver_t,
-            solver_s,
-            solver_p,
-            m_s,
-            m_sp,
-            m_ps,
-            m_p,
+            blocks: Arc::new(Blocks {
+                m_s: sparse_block(p, &s_idx, &s_idx),
+                m_sp: sparse_block(p, &s_idx, &p_idx),
+                m_ps: sparse_block(p, &p_idx, &s_idx),
+                m_p: sparse_block(p, &p_idx, &p_idx),
+                t_idx,
+                s_idx,
+                p_idx,
+                in_s,
+                options,
+                solver_t,
+                solver_s: OnceLock::new(),
+                solver_p: OnceLock::new(),
+            }),
         })
     }
 
     /// Sorted global indices of `T = S ∪ P`.
     pub fn t_indices(&self) -> &[usize] {
-        &self.t_idx
+        &self.blocks.t_idx
     }
 
     /// Sorted global indices of `S`.
     pub fn s_indices(&self) -> &[usize] {
-        &self.s_idx
+        &self.blocks.s_idx
     }
 
     /// Sorted global indices of `P`.
     pub fn p_indices(&self) -> &[usize] {
-        &self.p_idx
+        &self.blocks.p_idx
     }
 
     /// Solver for `I − Q_T` (the full transient block).
-    pub fn solver_t(&self) -> &Arc<TransientSolver> {
-        &self.solver_t
+    pub fn solver_t(&self) -> &TransientSolver {
+        &self.blocks.solver_t
     }
 
-    /// Solver for `I − M_S`.
-    pub fn solver_s(&self) -> &Arc<TransientSolver> {
-        &self.solver_s
+    /// Solver for `I − M_S`, set up on the first call.
+    ///
+    /// # Errors
+    ///
+    /// [`MarkovError::Linalg`] when the set-up fails; later calls return
+    /// the same error.
+    pub fn solver_s(&self) -> Result<&TransientSolver, MarkovError> {
+        self.solver(Subset::S)
     }
 
-    /// Solver for `I − M_P`.
-    pub fn solver_p(&self) -> &Arc<TransientSolver> {
-        &self.solver_p
+    /// Solver for `I − M_P`, set up on the first call.
+    ///
+    /// # Errors
+    ///
+    /// As [`PartitionSolvers::solver_s`].
+    pub fn solver_p(&self) -> Result<&TransientSolver, MarkovError> {
+        self.solver(Subset::P)
+    }
+
+    fn solver(&self, subset: Subset) -> Result<&TransientSolver, MarkovError> {
+        let b = &*self.blocks;
+        let (cell, block) = match subset {
+            Subset::S => (&b.solver_s, &b.m_s),
+            Subset::P => (&b.solver_p, &b.m_p),
+        };
+        cached(cell, || Ok(TransientSolver::new(block, b.options)?))
+    }
+
+    fn roles(&self, a: Subset) -> Roles<'_> {
+        let b = &*self.blocks;
+        match a {
+            Subset::S => Roles {
+                a_idx: &b.s_idx,
+                b_idx: &b.p_idx,
+                m_a: &b.m_s,
+                m_ab: &b.m_sp,
+                m_ba: &b.m_ps,
+            },
+            Subset::P => Roles {
+                a_idx: &b.p_idx,
+                b_idx: &b.s_idx,
+                m_a: &b.m_p,
+                m_ab: &b.m_ps,
+                m_ba: &b.m_sp,
+            },
+        }
+    }
+
+    /// Whether each position of `T` belongs to `a`.
+    fn mask(&self, a: Subset) -> impl Iterator<Item = bool> + '_ {
+        let want = a == Subset::S;
+        self.blocks.in_s.iter().map(move |&in_s| in_s == want)
     }
 }
 
@@ -205,48 +295,19 @@ impl PartitionSolvers {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SojournAnalysis {
-    side_s: Side,
-    side_p: Side,
+    pipeline: Pipeline,
 }
 
-/// Representation of one side of the analysis.
+/// Representation of the analysis.
 #[derive(Debug, Clone)]
-enum Side {
-    /// Dense censored matrices and LU factors (the historical path).
-    Dense(SubsetAnalysis),
+enum Pipeline {
+    /// Dense censored matrices and LU factors (the historical path): the
+    /// `S` side, then the `P` side.
+    Dense(Box<[SubsetAnalysis; 2]>),
     /// Operator-form sparse path: `R` and `G` are never materialized,
-    /// every application is a chain of CSR products and block solves.
-    Sparse(Box<SparseSubset>),
-}
-
-impl Side {
-    fn expected_total(&self) -> Result<f64, MarkovError> {
-        match self {
-            Side::Dense(s) => s.expected_total(),
-            Side::Sparse(s) => Ok(s.expected_total),
-        }
-    }
-
-    fn expected_sojourns(&self, count: usize) -> Vec<f64> {
-        match self {
-            Side::Dense(s) => s.expected_sojourns(count),
-            Side::Sparse(s) => s.expected_sojourns(count),
-        }
-    }
-
-    fn distribution(&self, j_max: usize) -> Vec<f64> {
-        match self {
-            Side::Dense(s) => s.distribution(j_max),
-            Side::Sparse(s) => s.distribution(j_max),
-        }
-    }
-
-    fn variance(&self) -> Result<f64, MarkovError> {
-        match self {
-            Side::Dense(s) => s.variance(),
-            Side::Sparse(s) => Ok(s.variance),
-        }
-    }
+    /// every application is a chain of CSR products and block solves,
+    /// and every quantity is computed on first read.
+    Sparse(Box<SparseSojourns>),
 }
 
 /// One side (`S` or `P`) of the analysis; the other side is obtained by
@@ -318,9 +379,11 @@ impl SojournAnalysis {
         let alpha_s = vec_ops::gather(alpha, s_idx);
         let alpha_p = vec_ops::gather(alpha, p_idx);
 
-        let side_s = Side::Dense(SubsetAnalysis::build(m, s_idx, p_idx, &alpha_s, &alpha_p)?);
-        let side_p = Side::Dense(SubsetAnalysis::build(m, p_idx, s_idx, &alpha_p, &alpha_s)?);
-        Ok(SojournAnalysis { side_s, side_p })
+        let side_s = SubsetAnalysis::build(m, s_idx, p_idx, &alpha_s, &alpha_p)?;
+        let side_p = SubsetAnalysis::build(m, p_idx, s_idx, &alpha_p, &alpha_s)?;
+        Ok(SojournAnalysis {
+            pipeline: Pipeline::Dense(Box::new([side_s, side_p])),
+        })
     }
 
     /// Builds the analysis on a sparse chain without ever materializing
@@ -339,15 +402,20 @@ impl SojournAnalysis {
     /// and distributions iterate `G`- and `R`-applications as solve
     /// chains.
     ///
+    /// Construction sets up the `T` solver and solves nothing: each
+    /// quantity is computed on its first read and kept, and only the
+    /// series and distributions set up the `S` and `P` solvers. A dense
+    /// LU solve depends on its right-hand side alone, so the read order
+    /// never changes a bit below `options.crossover`; above it, the SOR
+    /// fallback carries a learned relaxation factor across solves, so
+    /// bits follow the read order whenever BiCGSTAB breaks down.
+    ///
     /// # Errors
     ///
-    /// As [`SojournAnalysis::new`], plus [`MarkovError::Linalg`] carrying
-    /// [`pollux_linalg::LinalgError::NoConvergence`] when an iterative
-    /// solve exhausts its budget during construction. The series /
-    /// distribution query methods additionally solve per call on this
-    /// path and *panic* on budget exhaustion there (see their `# Panics`
-    /// sections) — construction already exercises the same blocks, so a
-    /// construction success makes that remote.
+    /// As [`SojournAnalysis::new`]. A solve that fails (for example an
+    /// iterative solve exhausting its budget) surfaces from the reader
+    /// that needed it: the `Result` readers return it, the series /
+    /// distribution readers *panic* (see their `# Panics` sections).
     pub fn new_sparse(
         chain: &SparseDtmc,
         partition: &SojournPartition,
@@ -360,8 +428,8 @@ impl SojournAnalysis {
 
     /// As [`SojournAnalysis::new_sparse`] with a prebuilt
     /// [`PartitionSolvers`] bundle — sibling stages (absorption, hitting)
-    /// reuse the same factorizations instead of setting the blocks up
-    /// again.
+    /// and analyses of other initial distributions reuse the same
+    /// factorizations instead of setting the blocks up again.
     ///
     /// # Errors
     ///
@@ -391,59 +459,15 @@ impl SojournAnalysis {
             ));
         }
 
-        let t_idx = solvers.t_indices();
-        let s_idx = solvers.s_indices();
-        let p_idx = solvers.p_indices();
-        let alpha_t = vec_ops::gather(alpha, t_idx);
-        // α_T N, shared by both sides' variance computation.
-        let weights = solvers.solver_t().solve_transposed(&alpha_t)?;
-
-        let mut t_pos = vec![usize::MAX; n];
-        for (pos, &g) in t_idx.iter().enumerate() {
-            t_pos[g] = pos;
-        }
-        let mask_s: Vec<bool> = {
-            let mut mask = vec![false; t_idx.len()];
-            for &g in s_idx {
-                mask[t_pos[g]] = true;
-            }
-            mask
-        };
-        let mask_p: Vec<bool> = mask_s.iter().map(|&b| !b).collect();
-
-        // Side S censors through P and vice versa: the four censored
-        // blocks and both subset solvers come from the bundle, swapped.
-        let side_s = SparseSubset::build(
-            s_idx,
-            p_idx,
-            alpha,
-            &alpha_t,
-            &mask_s,
-            Arc::clone(&solvers.m_s),
-            Arc::clone(&solvers.m_sp),
-            Arc::clone(&solvers.m_ps),
-            Arc::clone(solvers.solver_s()),
-            Arc::clone(solvers.solver_p()),
-            solvers.solver_t(),
-            &weights,
-        )?;
-        let side_p = SparseSubset::build(
-            p_idx,
-            s_idx,
-            alpha,
-            &alpha_t,
-            &mask_p,
-            Arc::clone(&solvers.m_p),
-            Arc::clone(&solvers.m_ps),
-            Arc::clone(&solvers.m_sp),
-            Arc::clone(solvers.solver_p()),
-            Arc::clone(solvers.solver_s()),
-            solvers.solver_t(),
-            &weights,
-        )?;
+        let alpha_t = vec_ops::gather(alpha, solvers.t_indices());
         Ok(SojournAnalysis {
-            side_s: Side::Sparse(Box::new(side_s)),
-            side_p: Side::Sparse(Box::new(side_p)),
+            pipeline: Pipeline::Sparse(Box::new(SparseSojourns {
+                solvers: solvers.clone(),
+                alpha: alpha.to_vec(),
+                alpha_t,
+                weights: OnceLock::new(),
+                sides: Default::default(),
+            })),
         })
     }
 
@@ -454,7 +478,7 @@ impl SojournAnalysis {
     ///
     /// Propagates linear-algebra failures.
     pub fn expected_total_s(&self) -> Result<f64, MarkovError> {
-        self.side_s.expected_total()
+        self.expected_total(Subset::S)
     }
 
     /// `E(T_P)` — expected total time in `P` before absorption
@@ -464,19 +488,21 @@ impl SojournAnalysis {
     ///
     /// Propagates linear-algebra failures.
     pub fn expected_total_p(&self) -> Result<f64, MarkovError> {
-        self.side_p.expected_total()
+        self.expected_total(Subset::P)
     }
 
     /// `E(T_{S,n})` for `n = 1, 2, …, count` (Relation 7).
     ///
     /// # Panics
     ///
-    /// On a [`SojournAnalysis::new_sparse`] analysis whose blocks sit on
-    /// the iterative path, panics in the (remote — three solver fallbacks
-    /// deep) event that a per-call censored-block solve exhausts its
-    /// budget. The dense path never panics.
+    /// On a [`SojournAnalysis::new_sparse`] analysis, panics when
+    /// setting up the censored-block solvers fails (impossible for a
+    /// partition of transient states, whose blocks are non-singular) or,
+    /// on the iterative path, in the remote (three solver fallbacks deep)
+    /// event that a censored-block solve exhausts its budget. The dense
+    /// path never panics.
     pub fn expected_sojourns_s(&self, count: usize) -> Vec<f64> {
-        self.side_s.expected_sojourns(count)
+        self.expected_sojourns(Subset::S, count)
     }
 
     /// `E(T_{P,n})` for `n = 1, 2, …, count` (Relation 8).
@@ -485,7 +511,7 @@ impl SojournAnalysis {
     ///
     /// As [`SojournAnalysis::expected_sojourns_s`].
     pub fn expected_sojourns_p(&self, count: usize) -> Vec<f64> {
-        self.side_p.expected_sojourns(count)
+        self.expected_sojourns(Subset::P, count)
     }
 
     /// Distribution `P(T_S = j)` for `j = 0, …, j_max`.
@@ -494,7 +520,7 @@ impl SojournAnalysis {
     ///
     /// As [`SojournAnalysis::expected_sojourns_s`].
     pub fn distribution_s(&self, j_max: usize) -> Vec<f64> {
-        self.side_s.distribution(j_max)
+        self.distribution(Subset::S, j_max)
     }
 
     /// Distribution `P(T_P = j)` for `j = 0, …, j_max`.
@@ -503,7 +529,7 @@ impl SojournAnalysis {
     ///
     /// As [`SojournAnalysis::expected_sojourns_s`].
     pub fn distribution_p(&self, j_max: usize) -> Vec<f64> {
-        self.side_p.distribution(j_max)
+        self.distribution(Subset::P, j_max)
     }
 
     /// Variance of `T_S`.
@@ -512,7 +538,7 @@ impl SojournAnalysis {
     ///
     /// Propagates linear-algebra failures.
     pub fn variance_s(&self) -> Result<f64, MarkovError> {
-        self.side_s.variance()
+        self.variance(Subset::S)
     }
 
     /// Variance of `T_P`.
@@ -521,7 +547,35 @@ impl SojournAnalysis {
     ///
     /// Propagates linear-algebra failures.
     pub fn variance_p(&self) -> Result<f64, MarkovError> {
-        self.side_p.variance()
+        self.variance(Subset::P)
+    }
+
+    fn expected_total(&self, side: Subset) -> Result<f64, MarkovError> {
+        match &self.pipeline {
+            Pipeline::Dense(sides) => sides[side as usize].expected_total(),
+            Pipeline::Sparse(sparse) => sparse.total(side).map(|&(total, _)| total),
+        }
+    }
+
+    fn expected_sojourns(&self, side: Subset, count: usize) -> Vec<f64> {
+        match &self.pipeline {
+            Pipeline::Dense(sides) => sides[side as usize].expected_sojourns(count),
+            Pipeline::Sparse(sparse) => sparse.expected_sojourns(side, count),
+        }
+    }
+
+    fn distribution(&self, side: Subset, j_max: usize) -> Vec<f64> {
+        match &self.pipeline {
+            Pipeline::Dense(sides) => sides[side as usize].distribution(j_max),
+            Pipeline::Sparse(sparse) => sparse.distribution(side, j_max),
+        }
+    }
+
+    fn variance(&self, side: Subset) -> Result<f64, MarkovError> {
+        match &self.pipeline {
+            Pipeline::Dense(sides) => sides[side as usize].variance(),
+            Pipeline::Sparse(sparse) => sparse.variance(side),
+        }
     }
 }
 
@@ -647,155 +701,183 @@ impl SubsetAnalysis {
     }
 }
 
-/// One side of the sparse analysis. `A` is "our" subset, `B` the other;
-/// the censored operators are applied as solve chains:
+/// The sparse analysis of one initial distribution. `A` below is the
+/// side being read, `B` the other; the censored operators are applied as
+/// solve chains:
 ///
 /// * `R y   = M_A y + M_AB (I − M_B)⁻¹ M_BA y`
 /// * `G y   = (I − M_A)⁻¹ M_AB (I − M_B)⁻¹ M_BA y`
 /// * `x R   = (x M_A) + ((x M_AB) (I − M_B)⁻¹) M_BA`
+///
+/// Totals and variances solve against the `T` block only; the series
+/// and distributions set up the `S` and `P` solvers on first read.
 #[derive(Debug, Clone)]
-struct SparseSubset {
+struct SparseSojourns {
+    solvers: PartitionSolvers,
+    /// The initial distribution over every state of the chain.
+    alpha: Vec<f64>,
+    /// Its restriction to `T`, in sorted order.
+    alpha_t: Vec<f64>,
+    /// `α_T N`, shared by both sides' variances.
+    weights: OnceLock<Result<Vec<f64>, MarkovError>>,
+    /// The `S` side, then the `P` side.
+    sides: [SparseSide; 2],
+}
+
+/// What one side computed so far.
+#[derive(Debug, Clone, Default)]
+struct SparseSide {
+    /// `E(T_A) = α_T N 1_A` and the occupancy `N 1_A` behind it.
+    total: OnceLock<Result<(f64, Vec<f64>), MarkovError>>,
+    /// `Var(T_A)` from the full-block identity.
+    variance: OnceLock<Result<f64, MarkovError>>,
+    /// The vectors the sojourn series and distribution iterate from.
+    series: OnceLock<Result<Series, MarkovError>>,
+}
+
+#[derive(Debug, Clone)]
+struct Series {
     /// Entry vector `v` over `A` (defective distribution of the first
     /// visited state of the subset).
     v: Vec<f64>,
-    /// `E(T_A)`, precomputed via `α_T N 1_A`.
-    expected_total: f64,
-    /// `Var(T_A)`, precomputed via the full-block identity.
-    variance: f64,
-    /// CSR censored blocks, shared with the partition's solver bundle
-    /// (and the mirror side, roles swapped).
-    m_a: Arc<CsrMatrix>,
-    m_ab: Arc<CsrMatrix>,
-    m_ba: Arc<CsrMatrix>,
-    /// Solvers for `I − M_A` and `I − M_B`, shared likewise.
-    solver_a: Arc<TransientSolver>,
-    solver_b: Arc<TransientSolver>,
     /// `(I − M_A)⁻¹ 1` — expected length of one sojourn per entry state.
     one_sojourn: Vec<f64>,
     /// `(I − R) 1` — per-state exit probability of the censored chain.
     r_exit: Vec<f64>,
 }
 
-impl SparseSubset {
-    /// Builds one side from the shared blocks and solvers. `alpha_t`,
-    /// `mask_a` and the shared full-block solver / weight vector live
-    /// over `T = A ∪ B` in sorted order.
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        a_idx: &[usize],
-        b_idx: &[usize],
-        alpha: &[f64],
-        alpha_t: &[f64],
-        mask_a: &[bool],
-        m_a: Arc<CsrMatrix>,
-        m_ab: Arc<CsrMatrix>,
-        m_ba: Arc<CsrMatrix>,
-        solver_a: Arc<TransientSolver>,
-        solver_b: Arc<TransientSolver>,
-        solver_t: &TransientSolver,
-        weights: &[f64],
-    ) -> Result<Self, MarkovError> {
-        let na = a_idx.len();
-        let alpha_a = vec_ops::gather(alpha, a_idx);
-        let alpha_b = vec_ops::gather(alpha, b_idx);
-
-        // v = α_A + α_B (I − M_B)⁻¹ M_BA.
-        let z = solver_b.solve_transposed(&alpha_b)?;
-        let v = vec_ops::add(&alpha_a, &m_ba.vec_mul(&z));
-
-        let one_sojourn = solver_a.solve(&vec![1.0; na])?;
-
-        // (I − R) 1 = 1 − M_A 1 − M_AB (I − M_B)⁻¹ M_BA 1.
-        let w1 = solver_b.solve(&m_ba.mul_vec(&vec![1.0; na]))?;
-        let mut r_one = m_a.mul_vec(&vec![1.0; na]);
-        m_ab.mul_add(&w1, &mut r_one);
-        let r_exit: Vec<f64> = r_one.iter().map(|s| (1.0 - s).max(0.0)).collect();
-
-        // E(T_A) = α_T N 1_A and the factorial moment
-        // E[T_A (T_A − 1)] = 2 Σ_{i ∈ A} (α_T N)_i ((N 1_A)_i − 1).
-        let ind_a: Vec<f64> = mask_a.iter().map(|&m| if m { 1.0 } else { 0.0 }).collect();
-        let occupancy = solver_t.solve(&ind_a)?;
-        let expected_total = vec_ops::dot(alpha_t, &occupancy);
-        let mut factorial = 0.0;
-        for (i, &in_a) in mask_a.iter().enumerate() {
-            if in_a {
-                factorial += weights[i] * (occupancy[i] - 1.0);
-            }
-        }
-        let variance = if na == 0 {
-            0.0
-        } else {
-            2.0 * factorial + expected_total - expected_total * expected_total
-        };
-
-        Ok(SparseSubset {
-            v,
-            expected_total,
-            variance,
-            m_a,
-            m_ab,
-            m_ba,
-            solver_a,
-            solver_b,
-            one_sojourn,
-            r_exit,
+impl SparseSojourns {
+    fn total(&self, a: Subset) -> Result<&(f64, Vec<f64>), MarkovError> {
+        cached(&self.sides[a as usize].total, || {
+            let ind_a: Vec<f64> = self
+                .solvers
+                .mask(a)
+                .map(|m| if m { 1.0 } else { 0.0 })
+                .collect();
+            let occupancy = self.solvers.solver_t().solve(&ind_a)?;
+            Ok((vec_ops::dot(&self.alpha_t, &occupancy), occupancy))
         })
+    }
+
+    fn variance(&self, a: Subset) -> Result<f64, MarkovError> {
+        cached(&self.sides[a as usize].variance, || {
+            if self.solvers.roles(a).a_idx.is_empty() {
+                return Ok(0.0);
+            }
+            // The factorial moment
+            // E[T_A (T_A − 1)] = 2 Σ_{i ∈ A} (α_T N)_i ((N 1_A)_i − 1).
+            let &(expected_total, ref occupancy) = self.total(a)?;
+            let weights = cached(&self.weights, || {
+                Ok(self.solvers.solver_t().solve_transposed(&self.alpha_t)?)
+            })?;
+            let mut factorial = 0.0;
+            for (i, in_a) in self.solvers.mask(a).enumerate() {
+                if in_a {
+                    factorial += weights[i] * (occupancy[i] - 1.0);
+                }
+            }
+            Ok(2.0 * factorial + expected_total - expected_total * expected_total)
+        })
+        .copied()
+    }
+
+    fn series(&self, a: Subset) -> &Series {
+        cached(&self.sides[a as usize].series, || {
+            let r = self.solvers.roles(a);
+            let (solver_a, solver_b) = (self.solvers.solver(a)?, self.solvers.solver(a.other())?);
+            let na = r.a_idx.len();
+            let alpha_a = vec_ops::gather(&self.alpha, r.a_idx);
+            let alpha_b = vec_ops::gather(&self.alpha, r.b_idx);
+
+            // v = α_A + α_B (I − M_B)⁻¹ M_BA.
+            let z = solver_b.solve_transposed(&alpha_b)?;
+            let v = vec_ops::add(&alpha_a, &r.m_ba.vec_mul(&z));
+
+            let one_sojourn = solver_a.solve(&vec![1.0; na])?;
+
+            // (I − R) 1 = 1 − M_A 1 − M_AB (I − M_B)⁻¹ M_BA 1.
+            let w1 = solver_b.solve(&r.m_ba.mul_vec(&vec![1.0; na]))?;
+            let mut r_one = r.m_a.mul_vec(&vec![1.0; na]);
+            r.m_ab.mul_add(&w1, &mut r_one);
+            let r_exit = r_one.iter().map(|s| (1.0 - s).max(0.0)).collect();
+            Ok(Series {
+                v,
+                one_sojourn,
+                r_exit,
+            })
+        })
+        .expect("censored block set-up and solves succeed on a transient partition")
     }
 
     /// `E(T_{A,n})` for `n = 1..=count`: iterate `u ← G u` starting from
     /// `(I − M_A)⁻¹ 1` and dot with `v` (Relations 7–8).
-    fn expected_sojourns(&self, count: usize) -> Vec<f64> {
-        if self.v.is_empty() {
+    fn expected_sojourns(&self, a: Subset, count: usize) -> Vec<f64> {
+        if self.solvers.roles(a).a_idx.is_empty() {
             return vec![0.0; count];
         }
+        let series = self.series(a);
         let mut out = Vec::with_capacity(count);
-        let mut u = self.one_sojourn.clone();
+        let mut u = series.one_sojourn.clone();
         for n in 0..count {
             if n > 0 {
-                u = self.apply_g(&u);
+                u = self.apply_g(a, &u);
             }
-            out.push(vec_ops::dot(&self.v, &u));
+            out.push(vec_ops::dot(&series.v, &u));
         }
         out
     }
 
     /// `P(T_A = j)` for `j = 0..=j_max`: iterate the row vector `v Rʲ⁻¹`
     /// and dot with the exit probabilities.
-    fn distribution(&self, j_max: usize) -> Vec<f64> {
+    fn distribution(&self, a: Subset, j_max: usize) -> Vec<f64> {
         let mut out = Vec::with_capacity(j_max + 1);
-        let entering: f64 = vec_ops::sum(&self.v);
-        out.push((1.0 - entering).max(0.0));
-        if self.v.is_empty() {
+        if self.solvers.roles(a).a_idx.is_empty() {
+            // No entry mass: T_A = 0 surely.
+            out.push(1.0);
             out.resize(j_max + 1, 0.0);
             return out;
         }
-        let mut cur = self.v.clone();
+        let series = self.series(a);
+        let entering: f64 = vec_ops::sum(&series.v);
+        out.push((1.0 - entering).max(0.0));
+        let mut cur = series.v.clone();
         for _ in 1..=j_max {
-            out.push(vec_ops::dot(&cur, &self.r_exit));
-            cur = self.apply_r_left(&cur);
+            out.push(vec_ops::dot(&cur, &series.r_exit));
+            cur = self.apply_r_left(a, &cur);
         }
         out
     }
 
+    /// The `A` and `B` solvers, which [`SparseSojourns::series`] set up.
+    fn solvers_ab(&self, a: Subset) -> (&TransientSolver, &TransientSolver) {
+        let set_up = "series() set the censored block solvers up";
+        (
+            self.solvers.solver(a).expect(set_up),
+            self.solvers.solver(a.other()).expect(set_up),
+        )
+    }
+
     /// `G u` as a solve chain (no materialized `G`).
-    fn apply_g(&self, u: &[f64]) -> Vec<f64> {
-        let through_b = self
-            .solver_b
-            .solve(&self.m_ba.mul_vec(u))
-            .expect("censored block solves succeed after construction");
-        self.solver_a
-            .solve(&self.m_ab.mul_vec(&through_b))
-            .expect("censored block solves succeed after construction")
+    fn apply_g(&self, a: Subset, u: &[f64]) -> Vec<f64> {
+        let r = self.solvers.roles(a);
+        let (solver_a, solver_b) = self.solvers_ab(a);
+        let through_b = solver_b
+            .solve(&r.m_ba.mul_vec(u))
+            .expect("censored block solves succeed after set-up");
+        solver_a
+            .solve(&r.m_ab.mul_vec(&through_b))
+            .expect("censored block solves succeed after set-up")
     }
 
     /// `x R` (row vector) as a solve chain (no materialized `R`).
-    fn apply_r_left(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = self.m_a.vec_mul(x);
-        let through_b = self
-            .solver_b
-            .solve_transposed(&self.m_ab.vec_mul(x))
-            .expect("censored block solves succeed after construction");
-        let back = self.m_ba.vec_mul(&through_b);
+    fn apply_r_left(&self, a: Subset, x: &[f64]) -> Vec<f64> {
+        let r = self.solvers.roles(a);
+        let (_, solver_b) = self.solvers_ab(a);
+        let mut out = r.m_a.vec_mul(x);
+        let through_b = solver_b
+            .solve_transposed(&r.m_ab.vec_mul(x))
+            .expect("censored block solves succeed after set-up");
+        let back = r.m_ba.vec_mul(&through_b);
         for (o, b) in out.iter_mut().zip(back.iter()) {
             *o += b;
         }

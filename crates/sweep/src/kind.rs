@@ -4,7 +4,10 @@
 use pollux::des_overlay::{des_memory_audit, run_des_overlay, DesOverlayConfig};
 use pollux::duel::{renewal_wilson, run_duel_with_baseline, DuelConfig};
 use pollux::simulation;
-use pollux::{polluted_split_unreachable, ClusterAnalysis, ClusterChain, ModelSpace, OverlayModel};
+use pollux::{
+    polluted_split_unreachable, ChainKey, ClusterAnalysis, ClusterChain, InitialCondition,
+    ModelParams, ModelSpace, OverlayModel,
+};
 use pollux_adversary::TargetedStrategy;
 use pollux_defense::DefenseSpec;
 use pollux_des::replication::replication_seed;
@@ -212,6 +215,68 @@ pub enum OutputKind {
     },
 }
 
+/// What the cells of one chain group share: one analysis of their chain
+/// per initial condition, each made on first use and all dropped with
+/// the share. A panic leaves it consistent: an analysis is stored only
+/// once it is complete.
+#[derive(Debug, Default)]
+pub(crate) struct ChainShare {
+    /// The analyses made so far, by initial condition; the first owns
+    /// the chain and the factored blocks the others share.
+    analyses: Vec<(InitialCondition, ClusterAnalysis)>,
+    /// Chains built so far.
+    builds: u64,
+}
+
+impl ChainShare {
+    /// Chains this share has built.
+    pub(crate) fn builds(&self) -> u64 {
+        self.builds
+    }
+
+    /// `true` once the share holds a chain.
+    pub(crate) fn holds_chain(&self) -> bool {
+        !self.analyses.is_empty()
+    }
+
+    /// Builds the chain of `params`, counting the build.
+    fn build(&mut self, params: &ModelParams) -> ClusterChain {
+        self.builds += 1;
+        ClusterChain::build(params)
+    }
+
+    /// The analysis of `cell`'s chain under `cell`'s initial condition,
+    /// made on first use on the factored blocks of the first analysis.
+    fn analysis(&mut self, cell: &SweepCell) -> Result<&ClusterAnalysis, SweepError> {
+        let initial = &cell.initial;
+        if let Some(i) = self
+            .analyses
+            .iter()
+            .position(|(start, _)| same_start(start, initial))
+        {
+            return Ok(&self.analyses[i].1);
+        }
+        let analysis = match self.analyses.first() {
+            Some((_, first)) => first.with_initial(initial.clone())?,
+            None => ClusterAnalysis::from_chain(self.build(&cell.params), initial.clone())?,
+        };
+        self.analyses.push((initial.clone(), analysis));
+        Ok(&self.analyses[self.analyses.len() - 1].1)
+    }
+}
+
+/// `true` when `a` and `b` give bit-identical initial distributions
+/// (custom vectors compare bits, so `-0.0` and `0.0` differ).
+fn same_start(a: &InitialCondition, b: &InitialCondition) -> bool {
+    match (a, b) {
+        (InitialCondition::Custom(x), InitialCondition::Custom(y)) => x
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(y.iter().map(|v| v.to_bits())),
+        _ => a == b,
+    }
+}
+
 impl OutputKind {
     /// The kind-specific column names (appended to the cell key columns).
     pub fn columns(&self) -> Vec<String> {
@@ -379,6 +444,10 @@ impl OutputKind {
     /// 8 ways) — DES output is byte-identical across shard counts, so
     /// this affects wall-clock time only, never artefact bytes.
     ///
+    /// This is the cell as a group of one: the runner evaluates the
+    /// cells of one [`ChainKey`] back to back over one shared chain, and
+    /// gives the same rows.
+    ///
     /// # Errors
     ///
     /// Propagates model/analysis construction failures.
@@ -388,16 +457,50 @@ impl OutputKind {
         seed: u64,
         shards: usize,
     ) -> Result<Vec<Vec<Value>>, SweepError> {
+        self.evaluate_shared(&mut ChainShare::default(), cell, seed, shards)
+    }
+
+    /// The key of the chain this kind's evaluation starts from, for the
+    /// kinds whose rows are read off that chain's analyses (and, for
+    /// [`OutputKind::McValidation`], a Monte-Carlo run). The DES, duel
+    /// and mean-field kinds return `None`: their simulations dwarf the
+    /// chain and shard over the pool's threads, so each keeps a job of
+    /// its own, and so do the overlay kinds, which build their chains
+    /// inside [`OverlayModel`], and [`OutputKind::StateSpace`], which
+    /// analyses nothing.
+    pub(crate) fn chain_key(&self, cell: &SweepCell) -> Option<ChainKey> {
+        match self {
+            OutputKind::Sojourns
+            | OutputKind::SojournsWithAbsorption
+            | OutputKind::SuccessiveSojourns { .. }
+            | OutputKind::Absorption
+            | OutputKind::PollutionRisk
+            | OutputKind::StateSpaceScaling
+            | OutputKind::McValidation { .. } => Some(ChainKey::new(&cell.params)),
+            _ => None,
+        }
+    }
+
+    /// As [`OutputKind::evaluate`], reading the chain and its analyses
+    /// through `share`, which earlier cells of the same [`ChainKey`] may
+    /// have filled.
+    pub(crate) fn evaluate_shared(
+        &self,
+        share: &mut ChainShare,
+        cell: &SweepCell,
+        seed: u64,
+        shards: usize,
+    ) -> Result<Vec<Vec<Value>>, SweepError> {
         match self {
             OutputKind::Sojourns => {
-                let a = ClusterAnalysis::new(&cell.params, cell.initial.clone())?;
+                let a = share.analysis(cell)?;
                 Ok(vec![vec![
                     a.expected_safe_events()?.into(),
                     a.expected_polluted_events()?.into(),
                 ]])
             }
             OutputKind::SojournsWithAbsorption => {
-                let a = ClusterAnalysis::new(&cell.params, cell.initial.clone())?;
+                let a = share.analysis(cell)?;
                 Ok(vec![vec![
                     a.expected_safe_events()?.into(),
                     a.expected_polluted_events()?.into(),
@@ -405,7 +508,7 @@ impl OutputKind {
                 ]])
             }
             OutputKind::SuccessiveSojourns { count } => {
-                let a = ClusterAnalysis::new(&cell.params, cell.initial.clone())?;
+                let a = share.analysis(cell)?;
                 let s = a.successive_safe_sojourns(*count);
                 let p = a.successive_polluted_sojourns(*count);
                 let mut row = Vec::with_capacity(2 * count);
@@ -414,7 +517,7 @@ impl OutputKind {
                 Ok(vec![row])
             }
             OutputKind::Absorption => {
-                let a = ClusterAnalysis::new(&cell.params, cell.initial.clone())?;
+                let a = share.analysis(cell)?;
                 let split = a.absorption_split()?;
                 Ok(vec![vec![
                     split.safe_merge.into(),
@@ -425,7 +528,7 @@ impl OutputKind {
                 ]])
             }
             OutputKind::PollutionRisk => {
-                let a = ClusterAnalysis::new(&cell.params, cell.initial.clone())?;
+                let a = share.analysis(cell)?;
                 let e_tp = a.expected_polluted_events()?;
                 let p_ever = a.pollution_probability()?;
                 let duration = if p_ever > 0.0 { e_tp / p_ever } else { 0.0 };
@@ -439,7 +542,7 @@ impl OutputKind {
             }
             OutputKind::StateSpace => {
                 let space = ModelSpace::new(&cell.params);
-                let chain = ClusterChain::build(&cell.params);
+                let chain = share.build(&cell.params);
                 Ok(vec![vec![
                     space.len().into(),
                     space.transient_safe().len().into(),
@@ -452,15 +555,12 @@ impl OutputKind {
                 ]])
             }
             OutputKind::StateSpaceScaling => {
-                let chain = ClusterChain::build(&cell.params);
-                let n_states = chain.space().len();
-                let n_transient = chain.space().transient().len();
-                let nnz = chain.sparse_dtmc().matrix().nnz();
-                let a = ClusterAnalysis::from_chain(chain, cell.initial.clone())?;
+                let a = share.analysis(cell)?;
+                let chain = a.chain();
                 Ok(vec![vec![
-                    n_states.into(),
-                    n_transient.into(),
-                    nnz.into(),
+                    chain.space().len().into(),
+                    chain.space().transient().len().into(),
+                    chain.sparse_dtmc().matrix().nnz().into(),
                     if a.is_sparse() { "sparse" } else { "dense" }.into(),
                     a.expected_safe_events()?.into(),
                     a.expected_polluted_events()?.into(),
@@ -490,7 +590,7 @@ impl OutputKind {
                 replications,
                 sigmas,
             } => {
-                let a = ClusterAnalysis::new(&cell.params, cell.initial.clone())?;
+                let a = share.analysis(cell)?;
                 let e_ts = a.expected_safe_events()?;
                 let e_tp = a.expected_polluted_events()?;
                 let split = a.absorption_split()?;
@@ -540,7 +640,7 @@ impl OutputKind {
                 max_events_per_cluster,
                 sigmas,
             } => {
-                let a = ClusterAnalysis::new(&cell.params, cell.initial.clone())?;
+                let a = share.analysis(cell)?;
                 let e_ts = a.expected_safe_events()?;
                 let e_tp = a.expected_polluted_events()?;
                 let split = a.absorption_split()?;
@@ -607,7 +707,7 @@ impl OutputKind {
                         "sample times must be sorted increasing".into(),
                     ));
                 }
-                let a = ClusterAnalysis::new(&cell.params, cell.initial.clone())?;
+                let a = share.analysis(cell)?;
                 let (want_safe, want_poll) = a.steady_state_fractions()?;
                 let strategy = TargetedStrategy::new(cell.params.k(), cell.params.nu())
                     .ok_or_else(|| {
@@ -682,7 +782,7 @@ impl OutputKind {
                     })?;
                 // The undefended baseline is computed once per cell and
                 // shared by every defense row.
-                let baseline = ClusterAnalysis::new(&cell.params, cell.initial.clone())?;
+                let baseline = share.analysis(cell)?;
                 let (_, baseline_polluted) = baseline.steady_state_fractions()?;
                 let config = DuelConfig {
                     cluster_bits: *cluster_bits,
@@ -742,7 +842,7 @@ impl OutputKind {
                 let eq = model
                     .open_equilibrium()
                     .map_err(|e| SweepError::InvalidScenario(e.to_string()))?;
-                let a = ClusterAnalysis::new(&cell.params, cell.initial.clone())?;
+                let a = share.analysis(cell)?;
                 let (exact_safe, exact_polluted) = a.steady_state_fractions()?;
                 // The ODE trajectory from the regeneration distribution
                 // must settle onto the same equilibrium (a genuinely

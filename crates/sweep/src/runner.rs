@@ -11,6 +11,7 @@
 //! append-only journal commits each completed cell so an interrupted
 //! sweep resumes byte-identically, recomputing only missing cells.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -25,21 +26,43 @@ use pollux_resilience::{
 };
 
 use crate::codec::{decode_rows, encode_rows};
+use crate::kind::ChainShare;
 use crate::{OutputKind, Scenario, SweepCell, SweepError, SweepReport, Value};
 
 /// The keyed rows one cell contributes to its scenario's report.
 type CellRows = Vec<Vec<Value>>;
-/// What a worker reports back: the owning scenario, the cell's rows and
-/// the cell's wall time — `None` for a cell replayed from the journal,
-/// which this process never evaluated.
-type CellOutcome = (usize, Result<CellRows, SweepError>, Option<f64>);
+
+/// What a worker reports back for one cell.
+struct CellOutcome {
+    /// The owning scenario.
+    scenario_index: usize,
+    /// The cell's keyed rows.
+    rows: Result<CellRows, SweepError>,
+    /// The cell's wall time — `None` for a cell replayed from the
+    /// journal, which this process never evaluated.
+    seconds: Option<f64>,
+    /// How the cell came by its chain.
+    chain: ChainUse,
+}
+
+/// How an evaluated cell came by the chain its evaluation starts from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ChainUse {
+    /// It built no chain and read none (or was replayed).
+    None,
+    /// It built the chain (`transition.calls`).
+    Built,
+    /// It read the chain an earlier cell of its group built
+    /// (`transition.shared`).
+    Shared,
+}
 
 /// File name of the completion journal inside a journal directory.
 pub const JOURNAL_FILE: &str = "sweep.journal.jsonl";
 
 /// Instrumentation sidecar of one scenario's sweep: per-cell wall-time
-/// spans and cell/row counters, merged in canonical cell order so the
-/// aggregate is independent of worker scheduling. Recording it leaves
+/// spans and cell/row/chain counters, merged in canonical cell order so
+/// the aggregate is independent of worker scheduling. Recording it leaves
 /// the reports of [`SweepRunner::run_all_observed`] byte-identical to
 /// [`SweepRunner::run_all`]'s.
 #[derive(Debug, Clone, Default)]
@@ -49,7 +72,11 @@ pub struct SweepObs {
     /// `sweep.cells` / `sweep.rows` counters over every cell, plus the
     /// `sweep.cell_wall_s` span over the wall seconds of the cells this
     /// process evaluated (a resumed run's journal-replayed cells have no
-    /// wall time, so they add no span).
+    /// wall time, so they add no span). `transition.calls` counts the
+    /// evaluated cells that built a chain and `transition.shared` those
+    /// that read the chain an earlier cell of their group built; a
+    /// group's cells run in slot order, so its first cell is the one
+    /// credited with the build at any thread count.
     pub registry: Registry,
 }
 
@@ -175,6 +202,13 @@ impl SweepRunner {
     /// scenarios share the worker threads, so a long tail in one scenario
     /// overlaps with the start of the next.
     ///
+    /// Cells whose kinds read the same chain (equal
+    /// [`ChainKey`](pollux::ChainKey)s, across scenarios too) form one
+    /// job: a worker evaluates them back to back in cell order over one
+    /// chain, one factored transient block and one analysis per initial
+    /// condition, and drops them when the group ends. Sharing never
+    /// outlives the call, and at most one group per worker is alive.
+    ///
     /// # Errors
     ///
     /// Propagates grid expansion and cell evaluation failures.
@@ -209,10 +243,7 @@ impl SweepRunner {
             let cells = scenario.cells()?;
             cell_counts.push(cells.len());
             for cell in cells {
-                // The cell seed mixes the scenario's name into the master
-                // seed so re-ordering scenarios never re-seeds a cell.
-                let scenario_seed = replication_seed(self.master_seed, hash_name(&scenario.name));
-                let seed = replication_seed(scenario_seed, cell.index as u64);
+                let seed = self.cell_seed(scenario, &cell);
                 jobs.push(Job {
                     slot: jobs.len(),
                     scenario_index,
@@ -304,7 +335,12 @@ impl SweepRunner {
                                 reason,
                             })
                         })?;
-                        outcomes[slot] = Some((scenario_index, Ok(rows), None));
+                        outcomes[slot] = Some(CellOutcome {
+                            scenario_index,
+                            rows: Ok(rows),
+                            seconds: None,
+                            chain: ChainUse::None,
+                        });
                     }
                     Some((Journal::open_append(&path)?, columns_hash))
                 } else {
@@ -315,17 +351,32 @@ impl SweepRunner {
             }
         };
 
-        // Only cells the journal did not already commit are enqueued.
-        let jobs: Vec<Job<'_>> = jobs
-            .into_iter()
-            .filter(|j| outcomes[j.slot].is_none())
-            .collect();
-        let n_jobs = jobs.len();
+        // Only cells the journal did not already commit are enqueued, in
+        // groups: every cell of one chain key joins the group its first
+        // cell opened, any other cell is a group of its own. Groups keep
+        // the order of their first cells, and cells their slot order.
+        let mut groups: Vec<Vec<Job<'_>>> = Vec::new();
+        let mut group_of_key: HashMap<_, usize> = HashMap::new();
+        let mut n_jobs = 0;
+        for job in jobs.into_iter().filter(|j| outcomes[j.slot].is_none()) {
+            n_jobs += 1;
+            match job.scenario.kind.chain_key(&job.cell) {
+                Some(key) => match group_of_key.entry(key) {
+                    Entry::Occupied(at) => groups[*at.get()].push(job),
+                    Entry::Vacant(at) => {
+                        at.insert(groups.len());
+                        groups.push(vec![job]);
+                    }
+                },
+                None => groups.push(vec![job]),
+            }
+        }
+        let n_groups = groups.len();
 
-        let (job_tx, job_rx) = mpsc::channel::<Job<'_>>();
+        let (job_tx, job_rx) = mpsc::channel::<Vec<Job<'_>>>();
         let (result_tx, result_rx) = mpsc::channel();
-        for job in jobs {
-            job_tx.send(job).expect("receiver alive");
+        for group in groups {
+            job_tx.send(group).expect("receiver alive");
         }
         drop(job_tx);
         let job_rx = Mutex::new(job_rx);
@@ -336,7 +387,7 @@ impl SweepRunner {
         let memory_budget = self.memory_budget;
         let mut journaled = 0u64;
         std::thread::scope(|scope| {
-            for _ in 0..threads.min(n_jobs.max(1)) {
+            for _ in 0..threads.min(n_groups.max(1)) {
                 let job_rx = &job_rx;
                 let result_tx = result_tx.clone();
                 scope.spawn(move || loop {
@@ -348,40 +399,55 @@ impl SweepRunner {
                     // into every other worker. The queue itself is
                     // always in a consistent state: the critical section
                     // is a single try_recv.
-                    let job = match job_rx
+                    let group = match job_rx
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .try_recv()
                     {
-                        Ok(job) => job,
+                        Ok(group) => group,
                         Err(_) => break,
                     };
-                    let cell_start = std::time::Instant::now();
-                    let rows = evaluate_resilient(
-                        job.scenario,
-                        &job.cell,
-                        job.seed,
-                        job.slot,
-                        threads,
-                        retry,
-                        fault_plan,
-                        &memory_budget,
-                    );
-                    let cell_seconds = cell_start.elapsed().as_secs_f64();
-                    let keyed = rows.map(|rows| {
-                        rows.into_iter()
-                            .map(|row| {
-                                let mut full = job.cell.key_values();
-                                full.extend(row);
-                                full
-                            })
-                            .collect::<Vec<_>>()
-                    });
-                    if result_tx
-                        .send((job.slot, (job.scenario_index, keyed, Some(cell_seconds))))
-                        .is_err()
-                    {
-                        break;
+                    let mut share = ChainShare::default();
+                    for job in group {
+                        let cell_start = std::time::Instant::now();
+                        let (builds, held) = (share.builds(), share.holds_chain());
+                        let rows = evaluate_resilient(
+                            job.scenario,
+                            &job.cell,
+                            job.seed,
+                            job.slot,
+                            threads,
+                            retry,
+                            fault_plan,
+                            &memory_budget,
+                            &mut share,
+                        );
+                        let seconds = cell_start.elapsed().as_secs_f64();
+                        let chain = if share.builds() > builds {
+                            ChainUse::Built
+                        } else if held {
+                            ChainUse::Shared
+                        } else {
+                            ChainUse::None
+                        };
+                        let keyed = rows.map(|rows| {
+                            rows.into_iter()
+                                .map(|row| {
+                                    let mut full = job.cell.key_values();
+                                    full.extend(row);
+                                    full
+                                })
+                                .collect::<Vec<_>>()
+                        });
+                        let outcome = CellOutcome {
+                            scenario_index: job.scenario_index,
+                            rows: keyed,
+                            seconds: Some(seconds),
+                            chain,
+                        };
+                        if result_tx.send((job.slot, outcome)).is_err() {
+                            return;
+                        }
                     }
                 });
             }
@@ -393,13 +459,13 @@ impl SweepRunner {
                 // them done: once the append returns, the cell survives
                 // even SIGKILL.
                 if let Some((journal, columns_hash)) = journal.as_mut() {
-                    if let (scenario_index, Ok(rows), _) = &outcome {
+                    if let Ok(rows) = &outcome.rows {
                         let (name, _, cell_index, seed) = &slot_meta[slot];
                         let entry = JournalEntry::new(
                             name,
                             *cell_index as u64,
                             *seed,
-                            columns_hash[*scenario_index],
+                            columns_hash[outcome.scenario_index],
                             encode_rows(rows),
                         );
                         if let Err(e) = journal.append(&entry) {
@@ -456,11 +522,11 @@ impl SweepRunner {
             // panic-guarded, so this is a harness defect, not a model
             // one) — surface it as a structured failure naming the cell
             // rather than a second-hand panic.
-            let (scenario_index, rows, cell_seconds) = outcome.unwrap_or_else(|| {
+            let outcome = outcome.unwrap_or_else(|| {
                 let (name, scenario_index, cell_index, seed) = slot_meta[slot].clone();
-                (
+                CellOutcome {
                     scenario_index,
-                    Err(SweepError::Cell(CellFailure {
+                    rows: Err(SweepError::Cell(CellFailure {
                         scenario: name,
                         cell_index,
                         seed,
@@ -469,17 +535,26 @@ impl SweepRunner {
                             "worker thread died without reporting a result".into(),
                         ),
                     })),
-                    None,
-                )
+                    seconds: None,
+                    chain: ChainUse::None,
+                }
             });
-            let rows = rows?;
-            let registry = &mut obs[scenario_index].registry;
+            let rows = outcome.rows?;
+            let registry = &mut obs[outcome.scenario_index].registry;
             registry.add("sweep.cells", 1);
             registry.add("sweep.rows", rows.len() as u64);
-            if let Some(seconds) = cell_seconds {
+            registry.add(
+                "transition.calls",
+                u64::from(outcome.chain == ChainUse::Built),
+            );
+            registry.add(
+                "transition.shared",
+                u64::from(outcome.chain == ChainUse::Shared),
+            );
+            if let Some(seconds) = outcome.seconds {
                 registry.span("sweep.cell_wall_s", seconds);
             }
-            reports[scenario_index].rows.extend(rows);
+            reports[outcome.scenario_index].rows.extend(rows);
         }
         for (report, count) in reports.iter_mut().zip(cell_counts) {
             debug_assert!(
@@ -491,9 +566,19 @@ impl SweepRunner {
     }
 }
 
-/// One cell's full resilient evaluation: memory pre-flight (with shard
-/// shedding), fault injection, panic isolation, bounded retry of panics
-/// from the *same seed*, and structured failure assembly.
+impl SweepRunner {
+    /// The seed of `cell`: the scenario's name is mixed into the master
+    /// seed so re-ordering scenarios never re-seeds a cell.
+    fn cell_seed(&self, scenario: &Scenario, cell: &SweepCell) -> u64 {
+        let scenario_seed = replication_seed(self.master_seed, hash_name(&scenario.name));
+        replication_seed(scenario_seed, cell.index as u64)
+    }
+}
+
+/// One cell's full resilient evaluation over its group's `share`: memory
+/// pre-flight (with shard shedding), fault injection, panic isolation,
+/// bounded retry of panics from the *same seed*, and structured failure
+/// assembly.
 ///
 /// The pre-flight runs once: a refusal depends on the cell and the
 /// budget alone. An evaluation error (invalid grid, singular system,
@@ -510,6 +595,7 @@ fn evaluate_resilient(
     retry: RetryPolicy,
     fault_plan: &FaultPlan,
     memory_budget: &MemoryBudget,
+    share: &mut ChainShare,
 ) -> Result<Vec<Vec<Value>>, SweepError> {
     let failure = |kind, attempts| {
         SweepError::Cell(CellFailure {
@@ -531,7 +617,7 @@ fn evaluate_resilient(
             // (a sweep with few, large DES cells still uses every core)
             // unless the memory pre-flight shed shards; shard-invariance
             // keeps the bytes independent of it either way.
-            scenario.kind.evaluate(cell, seed, shards)
+            scenario.kind.evaluate_shared(share, cell, seed, shards)
         })
     });
     match outcome {
@@ -698,6 +784,116 @@ mod tests {
         );
         let span = obs[0].registry.span_stats("sweep.cell_wall_s").unwrap();
         assert_eq!(span.count(), 4);
+        // Four cells of four distinct chains: four builds, none shared.
+        assert_eq!(obs[0].registry.counter("transition.calls"), Some(4));
+        assert_eq!(obs[0].registry.counter("transition.shared"), Some(0));
+    }
+
+    /// The scenarios of the `exact_sweep` benchmark: every paper
+    /// artefact plus `delta_large`.
+    fn exact_sweep_set() -> Vec<Scenario> {
+        let mut scenarios = crate::registry::paper();
+        scenarios.push(crate::registry::find("delta_large").unwrap());
+        scenarios
+    }
+
+    /// A row with its floats as bits, so equality is bit equality.
+    fn row_bits(row: &[Value]) -> Vec<String> {
+        row.iter()
+            .map(|v| match v {
+                Value::F64(x) => format!("{:#018x}", x.to_bits()),
+                other => format!("{other:?}"),
+            })
+            .collect()
+    }
+
+    /// Per scenario: (transition.calls, transition.shared).
+    fn chain_counts(obs: &[SweepObs]) -> Vec<(Option<u64>, Option<u64>)> {
+        obs.iter()
+            .map(|o| {
+                (
+                    o.registry.counter("transition.calls"),
+                    o.registry.counter("transition.shared"),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grouped_cells_match_cells_evaluated_alone_and_count_their_chains() {
+        let scenarios = exact_sweep_set();
+        let runner = SweepRunner::new();
+        let alone: Vec<Vec<Vec<String>>> = scenarios
+            .iter()
+            .map(|scenario| {
+                let mut rows = Vec::new();
+                for cell in scenario.cells().unwrap() {
+                    let seed = runner.cell_seed(scenario, &cell);
+                    for row in scenario.kind.evaluate(&cell, seed, 1).unwrap() {
+                        let mut full = cell.key_values();
+                        full.extend(row);
+                        rows.push(row_bits(&full));
+                    }
+                }
+                rows
+            })
+            .collect();
+        let mut counts = Vec::new();
+        for threads in [1, 3, 8] {
+            let (reports, obs) = runner
+                .clone()
+                .with_threads(threads)
+                .run_all_observed(&scenarios)
+                .unwrap();
+            for (report, want) in reports.iter().zip(&alone) {
+                let got: Vec<_> = report.rows.iter().map(|r| row_bits(r)).collect();
+                assert_eq!(&got, want, "{} at {threads} threads", report.scenario);
+            }
+            counts.push(chain_counts(&obs));
+        }
+        // Each build is credited to its group's first cell, so the
+        // counts do not depend on the thread count.
+        assert!(counts.iter().all(|c| *c == counts[0]), "{counts:?}");
+        let (built, shared) = counts[0]
+            .iter()
+            .fold((0, 0), |(b, s), c| (b + c.0.unwrap(), s + c.1.unwrap()));
+        // 297 cells start from a chain (fig5 and validate_overlay build
+        // theirs inside the overlay model): 288 analysed cells of 109
+        // keys, each built once, and state_space's 9 cells, which build
+        // their own.
+        assert_eq!((built, shared), (118, 179));
+    }
+
+    #[test]
+    fn a_panic_mid_group_heals_and_leaves_the_other_cells_intact() {
+        // Three scenarios over one cell of one chain key: one group of
+        // three cells in slots 0, 1 and 2.
+        let grid = || ParamGrid::paper().mu(vec![0.2]).d(vec![0.9]);
+        let scenarios = [
+            Scenario::new("soj", "sojourns", grid(), OutputKind::Sojourns),
+            Scenario::new(
+                "table",
+                "successive",
+                grid(),
+                OutputKind::SuccessiveSojourns { count: 2 },
+            ),
+            Scenario::new("abs", "absorption", grid(), OutputKind::Absorption),
+        ];
+        let runner = SweepRunner::new().with_threads(2);
+        let (clean, clean_obs) = runner.run_all_observed(&scenarios).unwrap();
+        let plan = FaultPlan::parse("panic-cell=1@1").unwrap();
+        let (healed, obs) = runner
+            .with_fault_plan(plan)
+            .run_all_observed(&scenarios)
+            .unwrap();
+        for (a, b) in clean.iter().zip(&healed) {
+            assert_eq!(a.to_tsv(), b.to_tsv(), "{}", a.scenario);
+        }
+        // The injected panic fires before the cell reads the share, so
+        // the retry still reads the chain the first cell built.
+        let want = vec![(Some(1), Some(0)), (Some(0), Some(1)), (Some(0), Some(1))];
+        assert_eq!(chain_counts(&clean_obs), want);
+        assert_eq!(chain_counts(&obs), want);
     }
 
     #[test]

@@ -41,16 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Monte-Carlo cross-check ----------------------------------------
     let strategy = TargetedStrategy::new(params.k(), params.nu()).expect("validated parameters");
-    let report = simulation::estimate(
-        &params,
-        &InitialCondition::Delta,
-        &strategy,
-        20_000,
-        42,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2),
-    );
+    let report = simulation::estimate(&params, &InitialCondition::Delta, &strategy, 20_000, 42, 1);
     println!("\nevent-level simulation (20k replications):");
     println!("  T_S  = {}", report.safe_events);
     println!("  T_P  = {}", report.polluted_events);
